@@ -117,7 +117,7 @@ pub fn build_federated_archive(cfg: &FedBenchConfig) -> Archive {
         .catalog
         .import_foreign_table(&a.db, "SIMULATION", Some("SITE"), partitions)
         .expect("foreign table registers");
-    a.federation.analyze(&mut a.db).expect("analyze");
+    a.federation.analyze(&a.db).expect("analyze");
     a.federation.pushdown = cfg.pushdown;
     a
 }

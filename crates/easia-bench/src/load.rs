@@ -207,7 +207,7 @@ pub(crate) fn build_app(cfg: &LoadConfig) -> (WebApp, Vec<SessionSpec>, Vec<Stri
         .catalog
         .import_foreign_table(&a.db, "SIMULATION", None, partitions)
         .expect("foreign table registers");
-    a.federation.analyze(&mut a.db).expect("analyze");
+    a.federation.analyze(&a.db).expect("analyze");
     a.federation.lockstep = cfg.lockstep;
     a.generate_xuis_federated(4);
 

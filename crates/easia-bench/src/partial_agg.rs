@@ -141,7 +141,7 @@ pub fn build_partial_agg_archive(cfg: &PartialAggBenchConfig) -> Archive {
         .catalog
         .import_foreign_table(&a.db, "SIMULATION", Some("SITE"), partitions)
         .expect("foreign table registers");
-    a.federation.analyze(&mut a.db).expect("analyze");
+    a.federation.analyze(&a.db).expect("analyze");
     a.federation.partial_agg = cfg.partial_agg;
     a
 }

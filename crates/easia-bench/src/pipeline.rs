@@ -212,7 +212,7 @@ fn gather_rig(cfg: &PipelineConfig, lockstep: bool) -> Archive {
         .catalog
         .import_foreign_table(&a.db, "SIM", Some("SITE"), partitions)
         .expect("foreign table registers");
-    a.federation.analyze(&mut a.db).expect("analyze");
+    a.federation.analyze(&a.db).expect("analyze");
     a.federation.batch_rows = cfg.batch_rows;
     a.federation.lockstep = lockstep;
     a
@@ -253,7 +253,7 @@ fn timed_siblings(a: &mut Archive, label: &str) -> Timing {
     let t0 = a.net.now();
     let results = a
         .federation
-        .query_many(&mut a.net, a.db_host, &mut a.db, Some(&a.obs), &queries);
+        .query_many(&mut a.net, a.db_host, &a.db, Some(&a.obs), &queries);
     let elapsed = a.net.now() - t0;
     let mut rows = Vec::new();
     let mut bytes = 0u64;

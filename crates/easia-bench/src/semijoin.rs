@@ -168,7 +168,7 @@ pub fn build_semijoin_archive(cfg: &SemiJoinBenchConfig) -> Archive {
             .import_foreign_table(&a.db, table, Some("SITE"), partitions.clone())
             .expect("foreign table registers");
     }
-    a.federation.analyze(&mut a.db).expect("analyze");
+    a.federation.analyze(&a.db).expect("analyze");
     if !cfg.semijoin {
         // A zero-key cap makes every keyed leg overflow, degrading to
         // the annotated full-partition ship — the ablation baseline.

@@ -457,7 +457,7 @@ impl Archive {
             .query(
                 &mut self.net,
                 self.db_host,
-                &mut self.db,
+                &self.db,
                 Some(&self.obs),
                 sql,
                 params,
@@ -487,19 +487,17 @@ impl Archive {
             .obs
             .metrics
             .counter("easia_med_prefetch_issued_total", PREFETCH_ISSUED_HELP);
+        // Federated reads never write, so the fingerprint taken before
+        // the gather still describes the parked outcomes; anything
+        // committed after it (anywhere in the federation) invalidates
+        // them.
         let results = self.federation.query_many(
             &mut self.net,
             self.db_host,
-            &mut self.db,
+            &self.db,
             Some(&self.obs),
             &todo,
         );
-        // Stamp with the fingerprint as of *completion*: the gather's
-        // own staging-table merge bumps the hub write counter, so the
-        // pre-run value would mark every parked outcome stale on
-        // arrival. Anything committed after this point (anywhere in
-        // the federation) still invalidates the entries.
-        let fp = self.federation.write_fingerprint(&self.db);
         for ((sql, params), res) in todo.into_iter().zip(results) {
             if let Ok(out) = res {
                 issued.inc();
@@ -534,32 +532,6 @@ impl Archive {
             .ok_or_else(|| ArchiveError::Net(format!("unknown file server {host}")))?;
         server.borrow_mut().ingest(path, content);
         Ok(format!("http://{host}{path}"))
-    }
-
-    /// The *centralised* alternative the paper argues against: ship the
-    /// file from the generating site over the WAN to `host` before
-    /// archiving it there. Returns `(url, transfer_secs)`.
-    pub fn archive_file_remote(
-        &mut self,
-        from: HostId,
-        host: &str,
-        path: &str,
-        content: FileContent,
-    ) -> Result<(String, f64), ArchiveError> {
-        let (hid, server) = self
-            .servers
-            .get(host)
-            .cloned()
-            .ok_or_else(|| ArchiveError::Net(format!("unknown file server {host}")))?;
-        let bytes = content.len() as f64;
-        let id = self.net.transfer(from, hid, bytes);
-        self.settle();
-        let rec = self
-            .net
-            .transfer_record(id)
-            .ok_or_else(|| ArchiveError::Net("transfer did not complete".into()))?;
-        server.borrow_mut().ingest(path, content);
-        Ok((format!("http://{host}{path}"), rec.duration()))
     }
 
     /// Download a DATALINKed file to the user's browser. `url` is the

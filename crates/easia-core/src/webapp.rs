@@ -1329,6 +1329,77 @@ mod tests {
     }
 
     #[test]
+    fn another_sessions_live_query_keeps_a_parked_prefetch_fresh() {
+        const AUTHOR_DDL: &str = "CREATE TABLE AUTHOR (\
+             AUTHOR_KEY VARCHAR(40) PRIMARY KEY, \
+             SITE VARCHAR(20), \
+             NAME VARCHAR(80))";
+        const SIM_DDL: &str = "CREATE TABLE SIMULATION (\
+             SIMULATION_KEY VARCHAR(40) PRIMARY KEY, \
+             SITE VARCHAR(20), \
+             TITLE VARCHAR(80), \
+             AUTHOR_KEY VARCHAR(40) REFERENCES AUTHOR(AUTHOR_KEY))";
+        let mut a = Archive::builder()
+            .file_server("fs1.example", crate::paper_link_spec())
+            .federated_site("cam", crate::paper_link_spec())
+            .build();
+        let cam = a.federation.site("cam").unwrap().db.clone();
+        for (db, site_name, n) in [(&mut a.db, "soton", 1), (&mut *cam.borrow_mut(), "cam", 2)] {
+            db.execute(AUTHOR_DDL).unwrap();
+            db.execute(SIM_DDL).unwrap();
+            db.execute(&format!(
+                "INSERT INTO AUTHOR VALUES ('A{n}', '{site_name}', 'Author {n}')"
+            ))
+            .unwrap();
+            db.execute(&format!(
+                "INSERT INTO SIMULATION VALUES ('{site_name}-0', '{site_name}', 'Run', 'A{n}')"
+            ))
+            .unwrap();
+        }
+        for table in ["AUTHOR", "SIMULATION"] {
+            a.federation
+                .catalog
+                .import_foreign_table(
+                    &a.db,
+                    table,
+                    Some("SITE"),
+                    vec![
+                        easia_med::Partition::new(None, &["soton"]),
+                        easia_med::Partition::new(Some("cam"), &["cam"]),
+                    ],
+                )
+                .unwrap();
+        }
+        a.generate_xuis_federated(4);
+        let mut app = WebApp::new(a);
+        let sess_a = login(&mut app, "admin", "hpcc-admin");
+        let sess_b = login(&mut app, "admin", "hpcc-admin");
+
+        // Session A's SIMULATION screen parks the AUTHOR scans behind
+        // its FK links.
+        let r = app.handle(
+            Request::post("/query/SIMULATION", &[("all", "All data")]).with_session(&sess_a),
+        );
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        assert!(!app.archive.prefetch.is_empty(), "scans were parked");
+
+        // Session B runs an unrelated live federated query. A read
+        // writes nothing, so A's parked screens stay fresh.
+        let r = app
+            .handle(Request::post("/query/AUTHOR", &[("all", "All data")]).with_session(&sess_b));
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        assert!(!r.body_text().contains("served from speculative prefetch"));
+
+        let r =
+            app.handle(Request::get("/browse/fk/AUTHOR.AUTHOR_KEY?value=A1").with_session(&sess_a));
+        let body = r.body_text();
+        assert!(body.contains("Author 1"), "{body}");
+        assert!(body.contains("served from speculative prefetch"), "{body}");
+        let m = app.handle(Request::get("/metrics")).body_text();
+        assert!(m.contains("easia_med_prefetch_hits_total 1"), "{m}");
+    }
+
+    #[test]
     fn admission_sheds_open_loop_burst_with_drain_derived_retry_after() {
         use crate::admission::{AdmissionConfig, ClassLimits, RouteClass};
         let mut a = Archive::builder()

@@ -130,15 +130,6 @@ impl DataLinkManager {
         self.tokens_issued.get()
     }
 
-    /// Issue a read token for an arbitrary `(host, path)` — used by the
-    /// web layer for operation outputs.
-    pub fn issue_read_token(&self, host: &str, path: &str) -> String {
-        self.tokens_issued.set(self.tokens_issued.get() + 1);
-        self.with_metrics(|m| m.tokens_issued.inc());
-        self.issuer
-            .issue(TokenScope::Read, host, path, self.clock.now())
-    }
-
     fn touch(&self, host: &str) {
         let mut t = self.touched.borrow_mut();
         if !t.iter().any(|h| h == host) {

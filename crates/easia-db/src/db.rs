@@ -92,14 +92,6 @@ pub struct Table {
 }
 
 impl Table {
-    /// Find an index whose first key column is `col` (used by the
-    /// planner for equality lookups).
-    pub fn index_on(&self, col: usize) -> Option<&Index> {
-        self.indexes
-            .iter()
-            .find(|ix| ix.col_indices.first() == Some(&col))
-    }
-
     /// Find an index exactly matching `cols`.
     pub fn index_matching(&self, cols: &[usize]) -> Option<&Index> {
         self.indexes.iter().find(|ix| ix.col_indices == cols)
@@ -742,14 +734,31 @@ impl Database {
             .mvcc
             .snapshot_csn(snap)
             .ok_or_else(|| DbError::Txn(format!("unknown snapshot {}", snap.0)))?;
-        let stmt = parse(sql)?;
-        let Stmt::Select(sel) = stmt else {
-            return Err(DbError::Txn("snapshot sessions are read-only".into()));
+        let view = ReadView { csn, txn: None };
+        self.select_at(view, sql, params, "snapshot sessions are read-only")
+    }
+
+    /// Run a SELECT at the view a plain statement would see right now
+    /// (latest committed plus the session transaction's own writes),
+    /// without the `&mut` a write needs. Federated site scans and hub
+    /// merges read through here, so the compiler keeps them read-only.
+    pub fn query(&self, sql: &str, params: &[Value]) -> Result<ResultSet> {
+        self.select_at(self.stmt_view(), sql, params, "query runs SELECT only")
+    }
+
+    fn select_at(
+        &self,
+        view: ReadView,
+        sql: &str,
+        params: &[Value],
+        refusal: &str,
+    ) -> Result<ResultSet> {
+        let Stmt::Select(sel) = parse(sql)? else {
+            return Err(DbError::Txn(refusal.into()));
         };
         if let Some(m) = &self.metrics {
             m.statement(crate::obs::StmtKind::Select);
         }
-        let view = ReadView { csn, txn: None };
         exec::run_select(self, &view, &sel, params)
     }
 
@@ -1424,28 +1433,22 @@ impl Database {
     // ---- constraint checks ----
 
     fn check_row(&self, schema: &TableSchema, row: Vec<Value>) -> Result<Vec<Value>> {
-        if row.len() != schema.columns.len() {
-            return Err(DbError::Type(format!(
-                "row has {} values, table {} has {} columns",
-                row.len(),
-                schema.name,
-                schema.columns.len()
+        let row = exec::coerce_row(
+            &format_args!("table {}", schema.name),
+            schema.columns.iter().map(|c| (c.name.as_str(), c.ty)),
+            row,
+        )?;
+        if let Some(col) = row
+            .iter()
+            .zip(&schema.columns)
+            .find_map(|(v, col)| (v.is_null() && col.not_null).then_some(col))
+        {
+            return Err(DbError::Constraint(format!(
+                "column {}.{} may not be NULL",
+                schema.name, col.name
             )));
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (v, col) in row.into_iter().zip(&schema.columns) {
-            let v = v
-                .coerce(col.ty)
-                .map_err(|e| DbError::Type(format!("column {}: {e}", col.name)))?;
-            if v.is_null() && col.not_null {
-                return Err(DbError::Constraint(format!(
-                    "column {}.{} may not be NULL",
-                    schema.name, col.name
-                )));
-            }
-            out.push(v);
-        }
-        Ok(out)
+        Ok(row)
     }
 
     fn check_unique(

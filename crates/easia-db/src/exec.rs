@@ -1,13 +1,14 @@
 //! Query execution.
 
-use crate::db::{Database, ResultSet};
+use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
-use crate::expr::{truth, EvalContext, RowSchema};
+use crate::expr::{truth, EvalContext, FnRegistry, RowSchema};
 use crate::mvcc::ReadView;
+use crate::obs::DbMetrics;
 use crate::plan::{choose_access_path, AccessPath};
 use crate::sql::ast::{Expr, Join, JoinKind, OrderBy, SelectItem, SelectStmt};
 use crate::storage::RowId;
-use crate::value::{encode_row, Value};
+use crate::value::{encode_row, SqlType, Value};
 use std::collections::HashMap;
 
 /// Evaluate a row-independent expression (INSERT values, constants).
@@ -47,6 +48,60 @@ pub fn eval_row(
     ctx.eval(expr)
 }
 
+fn column_names(t: &Table) -> Vec<String> {
+    t.schema.columns.iter().map(|c| c.name.clone()).collect()
+}
+
+/// The `(RowId, row)` pairs of heap table `t` (named `table`) visible to
+/// `view` along `path`.
+fn fetch(
+    db: &Database,
+    view: &ReadView,
+    t: &Table,
+    table: &str,
+    path: AccessPath,
+) -> Vec<(RowId, Vec<Value>)> {
+    match path {
+        AccessPath::FullScan => t
+            .heap
+            .scan()
+            .filter(|(rid, _)| db.row_visible(table, *rid, view))
+            .collect(),
+        AccessPath::IndexEq { index_pos, key, .. } => {
+            let ix = &t.indexes[index_pos];
+            let rids = if ix.col_indices.len() == 1 {
+                ix.tree.get(std::slice::from_ref(&key))
+            } else {
+                // Composite index: range over entries whose first column
+                // equals the probe key.
+                ix.tree
+                    .range(None, None)
+                    .into_iter()
+                    .filter(|(k, _)| k.first() == Some(&key))
+                    .flat_map(|(_, rows)| rows)
+                    .collect()
+            };
+            rids.into_iter()
+                .filter(|rid| db.row_visible(table, *rid, view))
+                .filter_map(|rid| t.heap.get(rid).map(|row| (rid, row)))
+                .collect()
+        }
+    }
+}
+
+/// Account one base-table access in the scan metrics.
+fn note_scan(db: &Database, index_probe: bool, rows: usize) {
+    if let Some(m) = db.metrics() {
+        if index_probe {
+            m.index_scans.inc();
+        } else {
+            m.heap_scans.inc();
+        }
+        m.rows_scanned.add(rows as f64);
+        m.stage_scan.observe(rows as f64);
+    }
+}
+
 /// Fetch `(RowId, row)` pairs of `table` visible to `view` and matching
 /// `where_clause` (index-accelerated when possible). Used by
 /// UPDATE/DELETE.
@@ -62,44 +117,9 @@ pub fn collect_matching(
         .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?;
     let path = choose_access_path(db, t, table, where_clause, params)?;
     let index_probe = matches!(path, AccessPath::IndexEq { .. });
-    let candidates: Vec<(RowId, Vec<Value>)> = match path {
-        AccessPath::FullScan => t
-            .heap
-            .scan()
-            .filter(|(rid, _)| db.row_visible(table, *rid, view))
-            .collect(),
-        AccessPath::IndexEq { index_pos, key, .. } => {
-            let ix = &t.indexes[index_pos];
-            let probe = if ix.col_indices.len() == 1 {
-                ix.tree.get(std::slice::from_ref(&key))
-            } else {
-                // Composite index: range over entries whose first column
-                // equals the probe key.
-                ix.tree
-                    .range(None, None)
-                    .into_iter()
-                    .filter(|(k, _)| k.first() == Some(&key))
-                    .flat_map(|(_, rows)| rows)
-                    .collect()
-            };
-            probe
-                .into_iter()
-                .filter(|rid| db.row_visible(table, *rid, view))
-                .filter_map(|rid| t.heap.get(rid).map(|row| (rid, row)))
-                .collect()
-        }
-    };
-    if let Some(m) = db.metrics() {
-        if index_probe {
-            m.index_scans.inc();
-        } else {
-            m.heap_scans.inc();
-        }
-        m.rows_scanned.add(candidates.len() as f64);
-        m.stage_scan.observe(candidates.len() as f64);
-    }
-    let names: Vec<String> = t.schema.columns.iter().map(|c| c.name.clone()).collect();
-    let schema = RowSchema::for_table(table, &names);
+    let candidates = fetch(db, view, t, table, path);
+    note_scan(db, index_probe, candidates.len());
+    let schema = RowSchema::for_table(table, &column_names(t));
     let mut out = Vec::new();
     for (rid, row) in candidates {
         let keep = match where_clause {
@@ -121,12 +141,99 @@ pub fn collect_matching(
     Ok(out)
 }
 
+/// An in-memory relation a caller binds in place of a heap table (see
+/// [`run_select_over`]): column names and owned rows, checked against
+/// their SQL types when bound. No catalog data applies to a relation —
+/// it has no index and renders no DATALINK tokens.
+#[derive(Debug)]
+pub struct Relation {
+    columns: Vec<String>,
+    rows: Vec<Vec<Value>>,
+}
+
+impl Relation {
+    /// Bind `rows` under `columns`, with the checks an INSERT into a
+    /// table of that shape applies: one value per column, each coerced
+    /// to its column's type. A DATALINK column binds as CLOB text — link
+    /// control stays with the database that owns the link, so a relation
+    /// carries only the URL (NULL stays NULL).
+    pub fn new(columns: &[(String, SqlType)], rows: Vec<Vec<Value>>) -> Result<Relation> {
+        let typed: Vec<(&str, SqlType)> = columns
+            .iter()
+            .map(|(name, ty)| match ty {
+                SqlType::Datalink => (name.as_str(), SqlType::Clob),
+                ty => (name.as_str(), *ty),
+            })
+            .collect();
+        let rows = rows
+            .into_iter()
+            .map(|row| {
+                let row = row
+                    .into_iter()
+                    .map(|v| match v {
+                        Value::Datalink(u) => Value::Str(u),
+                        v => v,
+                    })
+                    .collect();
+                coerce_row(&"relation", typed.iter().copied(), row)
+            })
+            .collect::<Result<_>>()?;
+        Ok(Relation {
+            columns: columns
+                .iter()
+                .map(|(c, _)| c.to_ascii_uppercase())
+                .collect(),
+            rows,
+        })
+    }
+}
+
+/// The row check an INSERT and a bound [`Relation`] share: one value
+/// per column, each coerced to its column's type. `owner` names the
+/// target in the width error.
+pub(crate) fn coerce_row<'a>(
+    owner: &dyn std::fmt::Display,
+    columns: impl ExactSizeIterator<Item = (&'a str, SqlType)>,
+    row: Vec<Value>,
+) -> Result<Vec<Value>> {
+    if row.len() != columns.len() {
+        return Err(DbError::Type(format!(
+            "row has {} values, {owner} has {} columns",
+            row.len(),
+            columns.len()
+        )));
+    }
+    row.into_iter()
+        .zip(columns)
+        .map(|(v, (name, ty))| {
+            v.coerce(ty)
+                .map_err(|e| DbError::Type(format!("column {name}: {e}")))
+        })
+        .collect()
+}
+
 /// Execute a SELECT against a read view.
 pub fn run_select(
     db: &Database,
     view: &ReadView,
     sel: &SelectStmt,
     params: &[Value],
+) -> Result<ResultSet> {
+    run_select_over(db, view, sel, params, Vec::new())
+}
+
+/// Execute a SELECT whose tables may be caller-bound [`Relation`]s:
+/// `relations[0]` stands in for the FROM table and `relations[i]` for
+/// the i-th JOIN table — by position, never by name; a missing or
+/// `None` entry reads the named heap table. A bound relation is read in
+/// full under the statement's alias for that position. This is how a
+/// federation hub merges gathered rows without writing them anywhere.
+pub fn run_select_over(
+    db: &Database,
+    view: &ReadView,
+    sel: &SelectStmt,
+    params: &[Value],
+    relations: Vec<Option<Relation>>,
 ) -> Result<ResultSet> {
     // Table-less SELECT: evaluate items against an empty row.
     let Some(from) = &sel.from else {
@@ -160,65 +267,48 @@ pub fn run_select(
         .alias
         .clone()
         .unwrap_or_else(|| from.name.to_ascii_uppercase());
+    // Alias -> heap table, for DATALINK rendering; bound relations have
+    // no catalog entry and never appear here.
     let mut alias_map: HashMap<String, String> = HashMap::new();
-    alias_map.insert(base_alias.clone(), from.name.to_ascii_uppercase());
-    let base_table = db
-        .table(&from.name)
-        .ok_or_else(|| DbError::Catalog(format!("table {} does not exist", from.name)))?;
-    let names: Vec<String> = base_table
-        .schema
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    let mut schema = RowSchema::for_table(&base_alias, &names);
-    let path = choose_access_path(
-        db,
-        base_table,
-        &base_alias,
-        sel.where_clause.as_ref(),
-        params,
-    )?;
-    let index_probe = matches!(path, AccessPath::IndexEq { .. });
-    let base_name = from.name.to_ascii_uppercase();
-    let mut rows: Vec<Vec<Value>> = match path {
-        AccessPath::FullScan => base_table
-            .heap
-            .scan()
-            .filter(|(rid, _)| db.row_visible(&base_name, *rid, view))
-            .map(|(_, r)| r)
-            .collect(),
-        AccessPath::IndexEq { index_pos, key, .. } => {
-            let ix = &base_table.indexes[index_pos];
-            let rids = if ix.col_indices.len() == 1 {
-                ix.tree.get(std::slice::from_ref(&key))
-            } else {
-                ix.tree
-                    .range(None, None)
-                    .into_iter()
-                    .filter(|(k, _)| k.first() == Some(&key))
-                    .flat_map(|(_, r)| r)
-                    .collect()
-            };
-            rids.into_iter()
-                .filter(|rid| db.row_visible(&base_name, *rid, view))
-                .filter_map(|rid| base_table.heap.get(rid))
-                .collect()
+    let mut bound = relations.into_iter();
+    let (names, mut rows, index_probe) = match bound.next().flatten() {
+        Some(rel) => (rel.columns, rel.rows, false),
+        None => {
+            let base_name = from.name.to_ascii_uppercase();
+            alias_map.insert(base_alias.clone(), base_name.clone());
+            let base_table = db
+                .table(&from.name)
+                .ok_or_else(|| DbError::Catalog(format!("table {} does not exist", from.name)))?;
+            let path = choose_access_path(
+                db,
+                base_table,
+                &base_alias,
+                sel.where_clause.as_ref(),
+                params,
+            )?;
+            let index_probe = matches!(path, AccessPath::IndexEq { .. });
+            let rows = fetch(db, view, base_table, &base_name, path)
+                .into_iter()
+                .map(|(_, r)| r)
+                .collect();
+            (column_names(base_table), rows, index_probe)
         }
     };
-    if let Some(m) = db.metrics() {
-        if index_probe {
-            m.index_scans.inc();
-        } else {
-            m.heap_scans.inc();
-        }
-        m.rows_scanned.add(rows.len() as f64);
-        m.stage_scan.observe(rows.len() as f64);
-    }
+    let mut schema = RowSchema::for_table(&base_alias, &names);
+    note_scan(db, index_probe, rows.len());
 
     // ---- joins ----
     for join in &sel.joins {
-        (schema, rows) = run_join(db, view, &schema, rows, join, params, &mut alias_map)?;
+        (schema, rows) = run_join(
+            db,
+            view,
+            &schema,
+            rows,
+            join,
+            params,
+            &mut alias_map,
+            bound.next().flatten(),
+        )?;
     }
     if !sel.joins.is_empty() {
         if let Some(m) = db.metrics() {
@@ -254,8 +344,8 @@ pub fn run_select(
         || sel.having.as_ref().is_some_and(|h| h.contains_aggregate())
         || !sel.group_by.is_empty();
 
-    let (columns, mut out_rows, sort_ctx) = if has_agg {
-        let out = aggregate_pipeline(db, sel, &schema, &rows, params)?;
+    let projection = if has_agg {
+        let out = aggregate_pipeline(db.functions(), sel, &schema, &rows, params)?;
         if let Some(m) = db.metrics() {
             m.stage_aggregate.observe(out.1.len() as f64);
         }
@@ -263,8 +353,36 @@ pub fn run_select(
     } else {
         project_pipeline(db, sel, &schema, &rows, params, &alias_map)?
     };
+    finish_select(
+        db.functions(),
+        db.metrics(),
+        sel,
+        &schema,
+        projection,
+        params,
+    )
+}
 
-    // ---- DISTINCT ----
+/// Projected output: column names, rows, and per-row sort context.
+type Projection = (Vec<String>, Vec<Vec<Value>>, Vec<SortCtx>);
+
+/// Per-output-row context used to evaluate ORDER BY: the underlying
+/// (joined or representative) row plus any aggregate values.
+struct SortCtx {
+    row: Vec<Value>,
+    aggs: HashMap<String, Value>,
+}
+
+/// DISTINCT, ORDER BY and LIMIT over a projection. ORDER BY keys
+/// evaluate against `schema`, the shape of each sort-context row.
+fn finish_select(
+    fns: &FnRegistry,
+    metrics: Option<&DbMetrics>,
+    sel: &SelectStmt,
+    schema: &RowSchema,
+    (columns, mut out_rows, mut sort_ctx): Projection,
+    params: &[Value],
+) -> Result<ResultSet> {
     if sel.distinct {
         let mut seen = std::collections::HashSet::new();
         let mut kept_rows = Vec::new();
@@ -278,36 +396,14 @@ pub fn run_select(
             }
         }
         out_rows = kept_rows;
-        return finish_select(db, sel, columns, out_rows, kept_ctx, params);
+        sort_ctx = kept_ctx;
     }
-    finish_select(db, sel, columns, out_rows, sort_ctx, params)
-}
-
-/// Per-output-row context used to evaluate ORDER BY: the underlying
-/// (joined or representative) row plus any aggregate values.
-/// Projected output: column names, rows, and per-row sort context.
-type Projection = (Vec<String>, Vec<Vec<Value>>, Vec<SortCtx>);
-
-struct SortCtx {
-    row: Vec<Value>,
-    aggs: HashMap<String, Value>,
-}
-
-fn finish_select(
-    db: &Database,
-    sel: &SelectStmt,
-    columns: Vec<String>,
-    mut out_rows: Vec<Vec<Value>>,
-    sort_ctx: Vec<SortCtx>,
-    params: &[Value],
-) -> Result<ResultSet> {
     if !sel.order_by.is_empty() {
-        let schema = order_schema(db, sel)?;
         let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(out_rows.len());
         for (row, ctx) in out_rows.iter().zip(&sort_ctx) {
             let mut keys = Vec::with_capacity(sel.order_by.len());
             for ob in &sel.order_by {
-                keys.push(order_key(db, ob, &schema, ctx, row, &columns, params)?);
+                keys.push(order_key(fns, ob, schema, ctx, row, &columns, params)?);
             }
             keyed.push((keys, row.clone()));
         }
@@ -322,14 +418,14 @@ fn finish_select(
             std::cmp::Ordering::Equal
         });
         out_rows = keyed.into_iter().map(|(_, r)| r).collect();
-        if let Some(m) = db.metrics() {
+        if let Some(m) = metrics {
             m.stage_sort.observe(out_rows.len() as f64);
         }
     }
     if let Some(limit) = sel.limit {
         out_rows.truncate(limit);
     }
-    if let Some(m) = db.metrics() {
+    if let Some(m) = metrics {
         m.rows_returned.add(out_rows.len() as f64);
     }
     Ok(ResultSet {
@@ -339,37 +435,8 @@ fn finish_select(
     })
 }
 
-fn order_schema(db: &Database, sel: &SelectStmt) -> Result<RowSchema> {
-    // Rebuild the joined row schema ORDER BY keys are evaluated against.
-    let Some(from) = &sel.from else {
-        return Ok(RowSchema::default());
-    };
-    let base_alias = from
-        .alias
-        .clone()
-        .unwrap_or_else(|| from.name.to_ascii_uppercase());
-    let t = db
-        .table(&from.name)
-        .ok_or_else(|| DbError::Catalog(format!("table {} missing", from.name)))?;
-    let names: Vec<String> = t.schema.columns.iter().map(|c| c.name.clone()).collect();
-    let mut schema = RowSchema::for_table(&base_alias, &names);
-    for j in &sel.joins {
-        let alias = j
-            .table
-            .alias
-            .clone()
-            .unwrap_or_else(|| j.table.name.to_ascii_uppercase());
-        let jt = db
-            .table(&j.table.name)
-            .ok_or_else(|| DbError::Catalog(format!("table {} missing", j.table.name)))?;
-        let jnames: Vec<String> = jt.schema.columns.iter().map(|c| c.name.clone()).collect();
-        schema = schema.join(&RowSchema::for_table(&alias, &jnames));
-    }
-    Ok(schema)
-}
-
 fn order_key(
-    db: &Database,
+    fns: &FnRegistry,
     ob: &OrderBy,
     schema: &RowSchema,
     ctx: &SortCtx,
@@ -383,7 +450,7 @@ fn order_key(
             return Ok(out_row[pos].clone());
         }
     }
-    eval_with_aggs(db, &ob.expr, schema, &ctx.row, &ctx.aggs, params)
+    eval_with_aggs(fns, &ob.expr, schema, &ctx.row, &ctx.aggs, params)
 }
 
 /// Derive an output column name for an unaliased select item, exactly
@@ -396,6 +463,7 @@ pub fn derive_name(expr: &Expr) -> String {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_join(
     db: &Database,
     view: &ReadView,
@@ -404,78 +472,46 @@ fn run_join(
     join: &Join,
     params: &[Value],
     alias_map: &mut HashMap<String, String>,
+    bound: Option<Relation>,
 ) -> Result<(RowSchema, Vec<Vec<Value>>)> {
     let alias = join
         .table
         .alias
         .clone()
         .unwrap_or_else(|| join.table.name.to_ascii_uppercase());
-    let right_name = join.table.name.to_ascii_uppercase();
-    alias_map.insert(alias.clone(), right_name.clone());
-    let right = db
-        .table(&join.table.name)
-        .ok_or_else(|| DbError::Catalog(format!("table {} does not exist", join.table.name)))?;
-    let rnames: Vec<String> = right
-        .schema
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
+    // The right side: a bound relation, or the heap table by name.
+    let (rnames, heap, mut right_rows) = match bound {
+        Some(rel) => (rel.columns, None, rel.rows),
+        None => {
+            let right_name = join.table.name.to_ascii_uppercase();
+            alias_map.insert(alias.clone(), right_name.clone());
+            let right = db.table(&join.table.name).ok_or_else(|| {
+                DbError::Catalog(format!("table {} does not exist", join.table.name))
+            })?;
+            (column_names(right), Some((right_name, right)), Vec::new())
+        }
+    };
     let right_schema = RowSchema::for_table(&alias, &rnames);
     let out_schema = left_schema.join(&right_schema);
     let right_width = rnames.len();
 
-    // Equi-join acceleration: find `right.col = <left expr>` in the ON
-    // conjuncts where the right table has an index on col.
-    let mut probe: Option<(usize, Expr)> = None; // (right index pos, left expr)
-    for c in crate::plan::conjuncts(&join.on) {
-        let Expr::Binary(l, crate::sql::ast::BinaryOp::Eq, r) = c else {
-            continue;
-        };
-        for (a, b) in [(l, r), (r, l)] {
-            if let Expr::Column {
-                table: Some(t),
-                name,
-            } = a.as_ref()
-            {
-                if t.eq_ignore_ascii_case(&alias) {
-                    if let Some(cpos) = right.schema.column_index(name) {
-                        if let Some(ipos) =
-                            right.indexes.iter().position(|ix| ix.col_indices == [cpos])
-                        {
-                            // The other side must be evaluable on the left.
-                            if expr_uses_only(b, left_schema) {
-                                probe = Some((ipos, b.as_ref().clone()));
-                            }
-                        }
-                    }
-                }
-            }
-            if probe.is_some() {
-                break;
-            }
-        }
-        if probe.is_some() {
-            break;
-        }
-    }
-
-    let right_rows: Vec<Vec<Value>> = if probe.is_none() {
-        right
+    let probe = heap
+        .as_ref()
+        .and_then(|(_, right)| equi_probe(join, &alias, right, left_schema));
+    if let (Some((right_name, right)), None) = (&heap, &probe) {
+        right_rows = right
             .heap
             .scan()
-            .filter(|(rid, _)| db.row_visible(&right_name, *rid, view))
+            .filter(|(rid, _)| db.row_visible(right_name, *rid, view))
             .map(|(_, r)| r)
-            .collect()
-    } else {
-        Vec::new()
-    };
+            .collect();
+    }
 
     let mut out = Vec::new();
     for lrow in left_rows {
         let mut matched = false;
-        let candidates: Vec<Vec<Value>> = match &probe {
-            Some((ipos, lexpr)) => {
+        let candidates: Vec<Vec<Value>> = match (&heap, &probe) {
+            (Some((right_name, right)), Some((ipos, lexpr))) => {
                 let lctx = EvalContext {
                     schema: left_schema,
                     row: &lrow,
@@ -490,12 +526,12 @@ fn run_join(
                         .tree
                         .get(&[key])
                         .into_iter()
-                        .filter(|rid| db.row_visible(&right_name, *rid, view))
+                        .filter(|rid| db.row_visible(right_name, *rid, view))
                         .filter_map(|rid| right.heap.get(rid))
                         .collect()
                 }
             }
-            None => right_rows.clone(),
+            _ => right_rows.clone(),
         };
         for rrow in candidates {
             let mut combined = lrow.clone();
@@ -518,6 +554,43 @@ fn run_join(
         }
     }
     Ok((out_schema, out))
+}
+
+/// Equi-join acceleration: find `right.col = <left expr>` in the ON
+/// conjuncts where the right heap table has an index on `col`. Returns
+/// the index position and the left-side key expression.
+fn equi_probe(
+    join: &Join,
+    alias: &str,
+    right: &Table,
+    left_schema: &RowSchema,
+) -> Option<(usize, Expr)> {
+    for c in crate::plan::conjuncts(&join.on) {
+        let Expr::Binary(l, crate::sql::ast::BinaryOp::Eq, r) = c else {
+            continue;
+        };
+        for (a, b) in [(l, r), (r, l)] {
+            if let Expr::Column {
+                table: Some(t),
+                name,
+            } = a.as_ref()
+            {
+                if t.eq_ignore_ascii_case(alias) {
+                    if let Some(cpos) = right.schema.column_index(name) {
+                        if let Some(ipos) =
+                            right.indexes.iter().position(|ix| ix.col_indices == [cpos])
+                        {
+                            // The other side must be evaluable on the left.
+                            if expr_uses_only(b, left_schema) {
+                                return Some((ipos, b.as_ref().clone()));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    None
 }
 
 fn expr_uses_only(e: &Expr, schema: &RowSchema) -> bool {
@@ -638,9 +711,8 @@ fn project_pipeline(
 
 /// Canonical identity key for an aggregate call site, used to dedup
 /// repeated occurrences of the same call (e.g. `AVG(X)` in the item
-/// list and again in HAVING). Exposed so the federation layer can key
-/// its partial-merge states the same way the local executor does.
-pub fn agg_key(e: &Expr) -> String {
+/// list and again in HAVING).
+fn agg_key(e: &Expr) -> String {
     format!("{e:?}")
 }
 
@@ -652,7 +724,7 @@ pub fn is_aggregate_fn(name: &str) -> bool {
 /// Collect aggregate call sites from an expression, deduplicated by
 /// [`agg_key`], in first-appearance order. Does not recurse into
 /// aggregate arguments (nested aggregates are invalid SQL).
-pub fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
+fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
     if let Expr::Function { name, .. } = e {
         if is_aggregate_fn(name) {
             if !out.iter().any(|x| agg_key(x) == agg_key(e)) {
@@ -692,8 +764,32 @@ pub fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-#[derive(Default)]
-struct AggState {
+/// The aggregate calls of `sel` — select list, then HAVING, then ORDER
+/// BY, deduplicated by `agg_key` — in the order every
+/// [`AggGroup::states`] follows.
+pub fn aggregate_calls(sel: &SelectStmt) -> Vec<Expr> {
+    let mut calls = Vec::new();
+    for item in &sel.items {
+        if let SelectItem::Expr { expr, .. } = item {
+            collect_aggs(expr, &mut calls);
+        }
+    }
+    if let Some(h) = &sel.having {
+        collect_aggs(h, &mut calls);
+    }
+    for ob in &sel.order_by {
+        collect_aggs(&ob.expr, &mut calls);
+    }
+    calls
+}
+
+/// Running state of one aggregate call over one group — the single
+/// aggregate kernel. The executor absorbs every input row into it; the
+/// hub merge of partial-aggregate pushdown folds each partition's
+/// shipped partial state in with [`AggState::merge_partial`]. Both then
+/// finish through the same code.
+#[derive(Debug, Clone, Default)]
+pub struct AggState {
     count: i64,
     sum: f64,
     sum_is_int: bool,
@@ -703,73 +799,168 @@ struct AggState {
     non_null: i64,
 }
 
-fn finish_agg(name: &str, star: bool, st: &AggState) -> Value {
-    match name {
-        // COUNT(*) counts rows; COUNT(col) counts non-NULL values.
-        // The two tallies are kept separate in AggState — conflating
-        // them over-reports COUNT(col) on NULL-containing columns.
-        "COUNT" => Value::Int(if star { st.count } else { st.non_null }),
-        "SUM" => {
-            if st.non_null == 0 {
-                Value::Null
-            } else if st.sum_is_int {
-                Value::Int(st.int_sum)
-            } else {
-                Value::Double(st.sum)
+impl AggState {
+    /// Absorb one argument value of aggregate `name`; NULL contributes
+    /// nothing.
+    fn absorb(&mut self, name: &str, v: &Value) -> Result<()> {
+        if v.is_null() {
+            return Ok(());
+        }
+        match name {
+            "COUNT" => {}
+            "SUM" | "AVG" => self.add_sum(name, v)?,
+            "MIN" => {
+                if self
+                    .min
+                    .as_ref()
+                    .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less)
+                {
+                    self.min = Some(v.clone());
+                }
+            }
+            "MAX" => {
+                if self
+                    .max
+                    .as_ref()
+                    .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Greater)
+                {
+                    self.max = Some(v.clone());
+                }
+            }
+            other => return Err(DbError::Eval(format!("unknown aggregate {other}"))),
+        }
+        self.non_null += 1;
+        Ok(())
+    }
+
+    /// Add the non-NULL `v` to the running SUM. The sum stays an exact
+    /// i64 while every value summed is an integer (the first one decides)
+    /// and promotes to DOUBLE on i64 overflow (see DESIGN.md, "aggregate
+    /// overflow policy"); the f64 shadow sum always accumulates.
+    fn add_sum(&mut self, name: &str, v: &Value) -> Result<()> {
+        match v {
+            Value::Int(i) => {
+                if self.non_null == 0 {
+                    self.sum_is_int = true;
+                }
+                if self.sum_is_int {
+                    match self.int_sum.checked_add(*i) {
+                        Some(s) => self.int_sum = s,
+                        None => self.sum_is_int = false,
+                    }
+                }
+                self.sum += *i as f64;
+            }
+            other => {
+                let n = other.numeric().ok_or_else(|| {
+                    DbError::Type(format!("{name} over non-numeric {}", other.type_name()))
+                })?;
+                self.sum_is_int = false;
+                self.sum += n;
             }
         }
-        "AVG" => {
-            if st.non_null == 0 {
-                Value::Null
-            } else {
-                let total = if st.sum_is_int {
-                    st.int_sum as f64
+        Ok(())
+    }
+
+    /// Fold one partition's partial state for aggregate call `agg` into
+    /// this state — the hub side of partial-aggregate pushdown.
+    /// `partial` is what the partition's own executor computed: its
+    /// COUNT for COUNT; its SUM, MIN or MAX for those; and the SUM then
+    /// the COUNT of the argument for AVG. A partition's SUM, MIN or MAX
+    /// folds in exactly like one more input value, so merged sums keep
+    /// the executor's i64-overflow promotion to DOUBLE.
+    pub fn merge_partial(&mut self, agg: &Expr, partial: &[&Value]) -> Result<()> {
+        let Expr::Function { name, star, .. } = agg else {
+            return Err(DbError::Eval("partial state for a non-aggregate".into()));
+        };
+        let count = |v: &Value| match v {
+            Value::Int(n) => *n,
+            _ => 0,
+        };
+        match (name.as_str(), partial) {
+            ("COUNT", [n]) if *star => self.count += count(n),
+            ("COUNT", [n]) => self.non_null += count(n),
+            ("SUM" | "MIN" | "MAX", [v]) => self.absorb(name, v)?,
+            ("AVG", [sum, n]) => {
+                // The SUM folds in as one value; the non-NULL tally is
+                // the partition's COUNT.
+                if !sum.is_null() {
+                    self.add_sum(name, sum)?;
+                }
+                self.non_null += count(n);
+            }
+            _ => {
+                return Err(DbError::Eval(format!(
+                    "partial state for {name} carries {} values",
+                    partial.len()
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// The aggregate's final value.
+    fn finish(&self, name: &str, star: bool) -> Value {
+        match name {
+            // COUNT(*) counts rows; COUNT(col) counts non-NULL values.
+            // The two tallies are kept separate — conflating them
+            // over-reports COUNT(col) on NULL-containing columns.
+            "COUNT" => Value::Int(if star { self.count } else { self.non_null }),
+            "SUM" => {
+                if self.non_null == 0 {
+                    Value::Null
+                } else if self.sum_is_int {
+                    Value::Int(self.int_sum)
                 } else {
-                    st.sum
-                };
-                Value::Double(total / st.non_null as f64)
+                    Value::Double(self.sum)
+                }
             }
+            "AVG" => {
+                if self.non_null == 0 {
+                    Value::Null
+                } else {
+                    let total = if self.sum_is_int {
+                        self.int_sum as f64
+                    } else {
+                        self.sum
+                    };
+                    Value::Double(total / self.non_null as f64)
+                }
+            }
+            "MIN" => self.min.clone().unwrap_or(Value::Null),
+            "MAX" => self.max.clone().unwrap_or(Value::Null),
+            _ => Value::Null,
         }
-        "MIN" => st.min.clone().unwrap_or(Value::Null),
-        "MAX" => st.max.clone().unwrap_or(Value::Null),
-        _ => Value::Null,
     }
 }
 
+/// One group of an aggregate SELECT: a representative input row (what
+/// non-aggregate expressions in HAVING, the select list and ORDER BY
+/// read) and one state per call of [`aggregate_calls`].
+#[derive(Debug)]
+pub struct AggGroup {
+    /// Representative input row.
+    pub rep: Vec<Value>,
+    /// Aggregate states, in [`aggregate_calls`] order.
+    pub states: Vec<AggState>,
+}
+
 fn aggregate_pipeline(
-    db: &Database,
+    fns: &FnRegistry,
     sel: &SelectStmt,
     schema: &RowSchema,
     rows: &[Vec<Value>],
     params: &[Value],
 ) -> Result<Projection> {
-    // Discover aggregate call sites.
-    let mut agg_exprs: Vec<Expr> = Vec::new();
-    for item in &sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_aggs(expr, &mut agg_exprs);
-        }
-    }
-    if let Some(h) = &sel.having {
-        collect_aggs(h, &mut agg_exprs);
-    }
-    for ob in &sel.order_by {
-        collect_aggs(&ob.expr, &mut agg_exprs);
-    }
-
-    // Group rows.
-    struct Group {
-        rep: Vec<Value>,
-        states: Vec<AggState>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
+    let calls = aggregate_calls(sel);
+    let mut groups: Vec<AggGroup> = Vec::new();
     let mut group_index: HashMap<Vec<u8>, usize> = HashMap::new();
     for row in rows {
         let ctx = EvalContext {
             schema,
             row,
             params,
-            functions: db.functions(),
+            functions: fns,
         };
         let key_vals: Vec<Value> = sel
             .group_by
@@ -779,85 +970,42 @@ fn aggregate_pipeline(
         let mut key = Vec::new();
         encode_row(&key_vals, &mut key);
         let gi = *group_index.entry(key).or_insert_with(|| {
-            groups.push(Group {
+            groups.push(AggGroup {
                 rep: row.clone(),
-                states: (0..agg_exprs.len()).map(|_| AggState::default()).collect(),
+                states: vec![AggState::default(); calls.len()],
             });
             groups.len() - 1
         });
-        // Update aggregate states.
-        for (ai, agg) in agg_exprs.iter().enumerate() {
-            let Expr::Function { name, args, star } = agg else {
+        for (st, call) in groups[gi].states.iter_mut().zip(&calls) {
+            let Expr::Function { name, args, star } = call else {
                 unreachable!("collect_aggs only collects functions");
             };
-            let st = &mut groups[gi].states[ai];
             if *star {
                 st.count += 1;
-                continue;
-            }
-            let v = ctx.eval(&args[0])?;
-            if v.is_null() {
-                continue;
-            }
-            st.non_null += 1;
-            match name.as_str() {
-                "COUNT" => {}
-                "SUM" | "AVG" => match &v {
-                    Value::Int(i) => {
-                        if st.non_null == 1 {
-                            st.sum_is_int = true;
-                        }
-                        if st.sum_is_int {
-                            match st.int_sum.checked_add(*i) {
-                                Some(s) => st.int_sum = s,
-                                // i64 overflow: the aggregate promotes to
-                                // DOUBLE (see DESIGN.md, "aggregate
-                                // overflow policy"); the f64 running sum
-                                // below keeps accumulating.
-                                None => st.sum_is_int = false,
-                            }
-                        }
-                        st.sum += *i as f64;
-                    }
-                    other => {
-                        let n = other.numeric().ok_or_else(|| {
-                            DbError::Type(format!("{name} over non-numeric {}", other.type_name()))
-                        })?;
-                        st.sum_is_int = false;
-                        st.sum += n;
-                    }
-                },
-                "MIN" => {
-                    let better = match &st.min {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == std::cmp::Ordering::Less,
-                    };
-                    if better {
-                        st.min = Some(v.clone());
-                    }
-                }
-                "MAX" => {
-                    let better = match &st.max {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == std::cmp::Ordering::Greater,
-                    };
-                    if better {
-                        st.max = Some(v.clone());
-                    }
-                }
-                other => return Err(DbError::Eval(format!("unknown aggregate {other}"))),
+            } else {
+                st.absorb(name, &ctx.eval(&args[0])?)?;
             }
         }
     }
+    project_groups(fns, sel, schema, &calls, groups, params)
+}
+
+/// HAVING and the select list over finished groups.
+fn project_groups(
+    fns: &FnRegistry,
+    sel: &SelectStmt,
+    schema: &RowSchema,
+    calls: &[Expr],
+    mut groups: Vec<AggGroup>,
+    params: &[Value],
+) -> Result<Projection> {
     // A global aggregate over zero rows still yields one group.
     if groups.is_empty() && sel.group_by.is_empty() {
-        groups.push(Group {
+        groups.push(AggGroup {
             rep: vec![Value::Null; schema.columns.len()],
-            states: (0..agg_exprs.len()).map(|_| AggState::default()).collect(),
+            states: vec![AggState::default(); calls.len()],
         });
     }
-
-    // Materialise per-group aggregate values.
     let mut columns = Vec::new();
     for item in &sel.items {
         match item {
@@ -873,17 +1021,16 @@ fn aggregate_pipeline(
     }
     let mut out_rows = Vec::new();
     let mut sort_ctx = Vec::new();
-    for g in &groups {
+    for g in groups {
         let mut aggs = HashMap::new();
-        for (ai, agg) in agg_exprs.iter().enumerate() {
-            let Expr::Function { name, star, .. } = agg else {
-                unreachable!()
+        for (st, call) in g.states.iter().zip(calls) {
+            let Expr::Function { name, star, .. } = call else {
+                unreachable!("collect_aggs only collects functions")
             };
-            aggs.insert(agg_key(agg), finish_agg(name, *star, &g.states[ai]));
+            aggs.insert(agg_key(call), st.finish(name, *star));
         }
-        // HAVING filter.
         if let Some(h) = &sel.having {
-            let v = eval_with_aggs(db, h, schema, &g.rep, &aggs, params)?;
+            let v = eval_with_aggs(fns, h, schema, &g.rep, &aggs, params)?;
             if truth(&v) != Some(true) {
                 continue;
             }
@@ -891,21 +1038,34 @@ fn aggregate_pipeline(
         let mut out = Vec::with_capacity(sel.items.len());
         for item in &sel.items {
             if let SelectItem::Expr { expr, .. } = item {
-                out.push(eval_with_aggs(db, expr, schema, &g.rep, &aggs, params)?);
+                out.push(eval_with_aggs(fns, expr, schema, &g.rep, &aggs, params)?);
             }
         }
         out_rows.push(out);
-        sort_ctx.push(SortCtx {
-            row: g.rep.clone(),
-            aggs,
-        });
+        sort_ctx.push(SortCtx { row: g.rep, aggs });
     }
     Ok((columns, out_rows, sort_ctx))
 }
 
-/// Evaluate an expression, substituting pre-computed aggregate values.
-pub fn eval_with_aggs(
+/// Finish an aggregate SELECT from groups built elsewhere — HAVING, the
+/// select list, DISTINCT, ORDER BY and LIMIT, exactly as [`run_select`]
+/// does after grouping its own rows. `schema` is the shape of each
+/// group's representative row. Records no `easia_db_*` metrics.
+pub fn finish_groups(
     db: &Database,
+    sel: &SelectStmt,
+    schema: &RowSchema,
+    groups: Vec<AggGroup>,
+    params: &[Value],
+) -> Result<ResultSet> {
+    let calls = aggregate_calls(sel);
+    let projection = project_groups(db.functions(), sel, schema, &calls, groups, params)?;
+    finish_select(db.functions(), None, sel, schema, projection, params)
+}
+
+/// Evaluate an expression, substituting pre-computed aggregate values.
+fn eval_with_aggs(
+    fns: &FnRegistry,
     e: &Expr,
     schema: &RowSchema,
     row: &[Value],
@@ -915,41 +1075,27 @@ pub fn eval_with_aggs(
     if let Some(v) = aggs.get(&agg_key(e)) {
         return Ok(v.clone());
     }
+    let ctx = EvalContext {
+        schema,
+        row,
+        params,
+        functions: fns,
+    };
     match e {
         // Rebuild composite expressions so nested aggregates resolve.
         Expr::Unary(op, inner) => {
-            let v = eval_with_aggs(db, inner, schema, row, aggs, params)?;
-            let ctx = EvalContext {
-                schema,
-                row,
-                params,
-                functions: db.functions(),
-            };
+            let v = eval_with_aggs(fns, inner, schema, row, aggs, params)?;
             ctx.eval(&Expr::Unary(*op, Box::new(Expr::Literal(v))))
         }
         Expr::Binary(l, op, r) => {
-            let lv = eval_with_aggs(db, l, schema, row, aggs, params)?;
-            let rv = eval_with_aggs(db, r, schema, row, aggs, params)?;
-            let ctx = EvalContext {
-                schema,
-                row,
-                params,
-                functions: db.functions(),
-            };
+            let lv = eval_with_aggs(fns, l, schema, row, aggs, params)?;
+            let rv = eval_with_aggs(fns, r, schema, row, aggs, params)?;
             ctx.eval(&Expr::Binary(
                 Box::new(Expr::Literal(lv)),
                 *op,
                 Box::new(Expr::Literal(rv)),
             ))
         }
-        other => {
-            let ctx = EvalContext {
-                schema,
-                row,
-                params,
-                functions: db.functions(),
-            };
-            ctx.eval(other)
-        }
+        other => ctx.eval(other),
     }
 }

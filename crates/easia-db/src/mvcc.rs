@@ -163,11 +163,6 @@ impl MvccState {
         id
     }
 
-    /// The read-view CSN ceiling `txn` was started with.
-    pub fn txn_view_csn(&self, txn: TxnId) -> Option<Csn> {
-        self.active.get(&txn).copied()
-    }
-
     /// Is `txn` active (started, neither committed nor aborted)?
     pub fn is_active(&self, txn: TxnId) -> bool {
         self.active.contains_key(&txn)
@@ -227,11 +222,6 @@ impl MvccState {
         self.snapshots.len()
     }
 
-    /// Any transactions in flight?
-    pub fn has_active_txns(&self) -> bool {
-        !self.active.is_empty()
-    }
-
     // ---- visibility ----
 
     /// Does `view` see the work of `txn`?
@@ -246,13 +236,6 @@ impl MvccState {
             None => true,
             Some(v) => self.sees(view, v.xmin) && !v.xmax.is_some_and(|x| self.sees(view, x)),
         }
-    }
-
-    /// The version map for `table` (None = every row frozen). Scans
-    /// grab this once so the per-row check is a map probe, not a
-    /// double lookup.
-    pub fn table_versions(&self, table: &str) -> Option<&BTreeMap<RowId, RowVersion>> {
-        self.versions.get(table).filter(|m| !m.is_empty())
     }
 
     /// Version stamps for one row, if it has any.

@@ -275,18 +275,6 @@ pub enum Stmt {
 }
 
 impl Expr {
-    /// Convenience: build `col = 'value'` equality predicates.
-    pub fn eq_str(column: &str, value: &str) -> Expr {
-        Expr::Binary(
-            Box::new(Expr::Column {
-                table: None,
-                name: column.to_ascii_uppercase(),
-            }),
-            BinaryOp::Eq,
-            Box::new(Expr::Literal(Value::Str(value.to_string()))),
-        )
-    }
-
     /// Walk the expression tree, visiting every node.
     pub fn walk(&self, f: &mut dyn FnMut(&Expr)) {
         f(self);

@@ -20,11 +20,15 @@
 //!    *site*, not the sum of sites. Per-stream stall clocks replace
 //!    whole-wave barriers; the pre-pipeline barrier scheduler survives
 //!    behind the [`Federation::lockstep`] ablation flag.
-//! 5. **Merge** — shipped rows land in a hub staging table and the
-//!    *original* statement re-runs against it, so every SQL feature
-//!    the hub engine supports (aggregates, GROUP BY, DISTINCT,
-//!    functions, ORDER BY/LIMIT) works federated, and pushed filters
-//!    are harmlessly re-applied.
+//! 5. **Merge** — the hub executor re-runs the *original* statement
+//!    with the shipped rows bound as an in-memory relation in place of
+//!    the foreign table ([`easia_db::exec::run_select_over`]), so every
+//!    SQL feature the hub engine supports (aggregates, GROUP BY,
+//!    DISTINCT, functions, ORDER BY/LIMIT) works federated, pushed
+//!    filters are harmlessly re-applied, and the read never writes the
+//!    hub database. Partial-aggregate states merge into the executor's
+//!    own aggregate states and finish through its HAVING, select list,
+//!    ORDER BY and LIMIT.
 //!
 //! A site outage climbs the **degradation ladder** instead of
 //! surfacing immediately:
@@ -49,16 +53,19 @@ use crate::explain::{
     AggExplain, FedExplain, JoinExplain, JoinStrategy, SiteExplain, SiteSource, StaleSite,
 };
 use crate::planner::{
-    externalize, plan_join, plan_select, strip_qualifiers, AggPlan, Finisher, JoinLeg, JoinPlan,
-    LegStrategy, TablePlan,
+    externalize, plan_join, plan_select, strip_qualifiers, AggPlan, JoinLeg, JoinPlan, LegStrategy,
+    TablePlan,
 };
-use crate::remote::{frame_batches, scan_rows, RemoteError};
+use crate::remote::{scan_rows, serve_request, RemoteError};
 use crate::replica::ReplicaCache;
-use crate::wire::{decode_batch, AggCall, ScanRequest};
-use easia_db::exec::{eval_with_aggs, run_select};
-use easia_db::expr::{truth, RowSchema};
-use easia_db::sql::ast::{Expr, JoinKind, SelectItem, SelectStmt, Stmt, TableRef};
+use crate::wire::{decode_batch, ScanRequest};
+use easia_db::exec::{
+    aggregate_calls, finish_groups, run_select_over, AggGroup, AggState, Relation,
+};
+use easia_db::expr::RowSchema;
+use easia_db::sql::ast::{JoinKind, SelectItem, SelectStmt, Stmt};
 use easia_db::sql::parse;
+use easia_db::value::encode_row;
 use easia_db::{Database, DbError, ResultSet, SqlType, Value};
 use easia_net::{HostId, RetryPolicy, SimNet, TransferId, TransferStatus};
 use easia_obs::Obs;
@@ -433,11 +440,6 @@ impl Federation {
         self.cache = Some(RefCell::new(ReplicaCache::new(ttl_secs, max_rows)));
     }
 
-    /// Is the replica cache enabled?
-    pub fn replica_cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Eagerly register every federation metric family (including the
     /// per-site breaker gauges at 0) so `/metrics` renders them before
     /// the first query or outage.
@@ -509,17 +511,17 @@ impl Federation {
 
     /// Refresh the catalog's per-partition row-count estimates by
     /// running `COUNT(*)` at every site (the `ANALYZE` of this engine).
-    pub fn analyze(&self, hub_db: &mut Database) -> Result<(), FedError> {
+    pub fn analyze(&self, hub_db: &Database) -> Result<(), FedError> {
         for ft in self.catalog.tables.values() {
             for p in &ft.partitions {
                 let sql = format!("SELECT COUNT(*) FROM {}", ft.name);
                 let rs = match &p.server {
-                    None => hub_db.execute(&sql)?,
+                    None => hub_db.query(&sql, &[])?,
                     Some(s) => {
                         let site = self.sites.get(s).ok_or_else(|| {
                             FedError::Catalog(CatalogError::UnknownServer(s.clone()))
                         })?;
-                        site.db.borrow_mut().execute(&sql)?
+                        site.db.borrow().query(&sql, &[])?
                     }
                 };
                 if let Some(Value::Int(n)) = rs.rows.first().and_then(|r| r.first()) {
@@ -532,13 +534,14 @@ impl Federation {
 
     /// Execute one federated SELECT. `net` carries the WAN simulation,
     /// `hub_host` is this hub's network endpoint, `hub_db` holds the
-    /// local partition and receives the staging table, and `obs` (when
-    /// present) gets the federation metrics and a per-query span.
+    /// local partition and runs the merge (it is only ever read), and
+    /// `obs` (when present) gets the federation metrics and a per-query
+    /// span.
     pub fn query(
         &self,
         net: &mut SimNet,
         hub_host: HostId,
-        hub_db: &mut Database,
+        hub_db: &Database,
         obs: Option<&Obs>,
         sql: &str,
         params: &[Value],
@@ -580,9 +583,8 @@ impl Federation {
             gather.hub_sql.len() as u64,
         );
 
-        // Merge: combine partial-aggregate states in memory, or land the
-        // shipped rows in a staging table and re-run the original
-        // statement against it.
+        // Merge: fold partial-aggregate states, or re-run the original
+        // statement over the shipped rows bound as a relation.
         let rs = self.merge_outcome(
             hub_db,
             obs,
@@ -622,7 +624,7 @@ impl Federation {
         &self,
         net: &mut SimNet,
         hub_host: HostId,
-        hub_db: &mut Database,
+        hub_db: &Database,
         obs: Option<&Obs>,
         queries: &[(String, Vec<Value>)],
     ) -> Vec<Result<QueryOutcome, FedError>> {
@@ -726,7 +728,7 @@ impl Federation {
             let i = ready_idx[k];
             let g = &gathers[k];
             let mut explain = std::mem::take(&mut explains[k]);
-            let res = match self.finish_gather(net, hub_host, obs, g, st, &mut explain) {
+            let res = match self.finish_gather(net, hub_host, hub_db, obs, g, st, &mut explain) {
                 Err(e) => Err(e),
                 Ok(gathered) => {
                     self.conjunct_metrics(obs, g.pushed_sql.len() as u64, g.hub_sql.len() as u64);
@@ -884,7 +886,7 @@ impl Federation {
         &self,
         net: &mut SimNet,
         hub_host: HostId,
-        hub_db: &mut Database,
+        hub_db: &Database,
         obs: Option<&Obs>,
         g: &TableGather<'_>,
         deadline: f64,
@@ -892,7 +894,7 @@ impl Federation {
     ) -> Result<Vec<Vec<Value>>, FedError> {
         let mut st = self.prepare_gather(net, hub_db, obs, g, deadline, explain)?;
         self.pump(net, hub_host, obs, std::slice::from_mut(&mut st))?;
-        self.finish_gather(net, hub_host, obs, g, st, explain)
+        self.finish_gather(net, hub_host, hub_db, obs, g, st, explain)
     }
 
     /// Phase 1 of a gather: walk the table's partitions, pruning,
@@ -903,7 +905,7 @@ impl Federation {
     fn prepare_gather<'s>(
         &'s self,
         net: &mut SimNet,
-        hub_db: &mut Database,
+        hub_db: &Database,
         obs: Option<&Obs>,
         g: &TableGather<'_>,
         deadline: f64,
@@ -974,6 +976,7 @@ impl Federation {
                     if let BreakerCheck::Deny { retry_after_secs } = verdict {
                         self.fallback(
                             net,
+                            hub_db,
                             obs,
                             site,
                             g,
@@ -987,7 +990,7 @@ impl Federation {
                         // Software outage: nothing schedules its end, so
                         // retrying inside this query cannot help.
                         self.note_failure(net, obs, site);
-                        self.fallback(net, obs, site, g, explain, &mut gathered, None)?;
+                        self.fallback(net, hub_db, obs, site, g, explain, &mut gathered, None)?;
                         continue;
                     }
                     if !net.host_up(site.host) {
@@ -996,7 +999,7 @@ impl Federation {
                             // Down past the deadline (or indefinitely):
                             // don't burn the budget waiting.
                             self.note_failure(net, obs, site);
-                            self.fallback(net, obs, site, g, explain, &mut gathered, None)?;
+                            self.fallback(net, hub_db, obs, site, g, explain, &mut gathered, None)?;
                             continue;
                         }
                         // Recovery is scheduled inside the deadline: fall
@@ -1011,7 +1014,7 @@ impl Federation {
                             // a partial-aggregate request re-runs its
                             // grouped statement over them.
                             let rows = if request.partial_agg.is_some() {
-                                Self::partial_from_raw(ft, request, &e.rows)?
+                                Self::partial_from_raw(hub_db, ft, request, &e.rows)?
                             } else {
                                 project(&e.rows, ft, g.columns)
                             };
@@ -1228,11 +1231,12 @@ impl Federation {
                                 // The site executes the pushed scan at
                                 // request-delivery time and frames its
                                 // batches, stamping its write counter.
-                                let mut db = p.site.db.borrow_mut();
-                                let rows = scan_rows(&mut db, &p.request)?;
-                                let wc = db.write_counter();
-                                drop(db);
-                                p.frames = frame_batches(&rows, self.batch_rows, 0, wc).into_iter();
+                                p.frames = serve_request(
+                                    &p.site.db.borrow(),
+                                    &p.request,
+                                    self.batch_rows,
+                                )?
+                                .into_iter();
                             }
                             Flight::Batch { frame, .. } => {
                                 // All delivered wire traffic counts,
@@ -1321,11 +1325,7 @@ impl Federation {
             if p.failed {
                 continue;
             }
-            let mut db = p.site.db.borrow_mut();
-            let rows = scan_rows(&mut db, &p.request)?;
-            let wc = db.write_counter();
-            drop(db);
-            p.frames = frame_batches(&rows, self.batch_rows, 0, wc).into_iter();
+            p.frames = serve_request(&p.site.db.borrow(), &p.request, self.batch_rows)?.into_iter();
         }
 
         // Gather: stream batches back under a bounded in-flight window,
@@ -1396,10 +1396,12 @@ impl Federation {
     /// whatever the pump left unfinished, then metrics/EXPLAIN
     /// bookkeeping and the replica-cache refill. Returns the gathered
     /// rows (request-column order).
+    #[allow(clippy::too_many_arguments)]
     fn finish_gather(
         &self,
         net: &mut SimNet,
         hub_host: HostId,
+        hub_db: &Database,
         obs: Option<&Obs>,
         g: &TableGather<'_>,
         st: GatherState<'_>,
@@ -1454,7 +1456,7 @@ impl Federation {
                 {
                     explain.sites.remove(pos);
                 }
-                self.fallback(net, obs, p.site, g, explain, &mut gathered, None)?;
+                self.fallback(net, hub_db, obs, p.site, g, explain, &mut gathered, None)?;
                 continue;
             }
             let nrows = p.rows.len() as u64;
@@ -1491,7 +1493,7 @@ impl Federation {
                 // A cache-refilling scan shipped the raw partition: a
                 // partial-aggregate request aggregates it at the hub.
                 if g.request.partial_agg.is_some() {
-                    gathered.extend(Self::partial_from_raw(ft, &g.request, &p.rows)?);
+                    gathered.extend(Self::partial_from_raw(hub_db, ft, &g.request, &p.rows)?);
                 } else {
                     gathered.extend(project(&p.rows, ft, g.columns));
                 }
@@ -1506,13 +1508,14 @@ impl Federation {
     /// Execute a federated JOIN: plan the legs, gather each federated
     /// leg (keyed by an earlier leg's join-key set where the planner
     /// found an equi-join binding), and merge-join at the hub by
-    /// re-running the original statement over the staged legs.
+    /// re-running the original statement with the gathered legs bound
+    /// as relations.
     #[allow(clippy::too_many_arguments)]
     fn query_join(
         &self,
         net: &mut SimNet,
         hub_host: HostId,
-        hub_db: &mut Database,
+        hub_db: &Database,
         obs: Option<&Obs>,
         sel: &SelectStmt,
         params: &[Value],
@@ -1720,7 +1723,8 @@ impl Federation {
             }
             self.pump(net, hub_host, obs, &mut states)?;
             for ((w, gth), stt) in wave.iter().zip(&gathers).zip(states) {
-                let rows = self.finish_gather(net, hub_host, obs, gth, stt, &mut frags[w.i])?;
+                let rows =
+                    self.finish_gather(net, hub_host, hub_db, obs, gth, stt, &mut frags[w.i])?;
                 leg_rows[w.i] = Some(rows);
                 done[w.i] = true;
             }
@@ -1764,7 +1768,7 @@ impl Federation {
     /// request frame is byte-deterministic.
     fn join_keys(
         &self,
-        hub_db: &mut Database,
+        hub_db: &Database,
         source: &JoinLeg,
         gathered: Option<&[Vec<Value>]>,
         column: &str,
@@ -1784,7 +1788,7 @@ impl Federation {
                 rows.iter().map(|r| r[idx].clone()).collect()
             }
             None => {
-                let rs = hub_db.execute(&format!("SELECT {column} FROM {}", source.table))?;
+                let rs = hub_db.query(&format!("SELECT {column} FROM {}", source.table), &[])?;
                 rs.rows.into_iter().filter_map(|mut r| r.pop()).collect()
             }
         };
@@ -1794,88 +1798,37 @@ impl Federation {
         Ok(vals)
     }
 
-    /// Merge join at the hub: stage every federated leg's gathered rows
-    /// and re-run the original statement with the staged tables swapped
-    /// in (local legs read in place). Staging tables are always dropped,
-    /// even on error.
+    /// Merge join at the hub: re-run the original statement with every
+    /// federated leg's gathered rows bound as a relation at that leg's
+    /// position (local legs read in place).
     fn merge_join(
         &self,
-        hub_db: &mut Database,
+        hub_db: &Database,
         sel: &SelectStmt,
         plan: &JoinPlan,
         params: &[Value],
         leg_rows: Vec<Option<Vec<Vec<Value>>>>,
     ) -> Result<ResultSet, FedError> {
-        let mut staged: Vec<String> = Vec::new();
-        let result = self.stage_join_legs(hub_db, sel, plan, params, leg_rows, &mut staged);
-        for s in &staged {
-            let _ = hub_db.execute(&format!("DROP TABLE {s}"));
+        let mut relations = Vec::with_capacity(plan.legs.len());
+        for (leg, rows) in plan.legs.iter().zip(leg_rows) {
+            relations.push(match rows {
+                None => None,
+                Some(rows) => {
+                    let ft = self
+                        .catalog
+                        .table(&leg.table)
+                        .ok_or_else(|| FedError::UnknownTable(leg.table.clone()))?;
+                    Some(Relation::new(&typed_columns(ft, &leg.columns), rows)?)
+                }
+            });
         }
-        result
-    }
-
-    fn stage_join_legs(
-        &self,
-        hub_db: &mut Database,
-        sel: &SelectStmt,
-        plan: &JoinPlan,
-        params: &[Value],
-        leg_rows: Vec<Option<Vec<Vec<Value>>>>,
-        staged: &mut Vec<String>,
-    ) -> Result<ResultSet, FedError> {
-        let mut sel2 = sel.clone();
-        for (i, (leg, rows)) in plan.legs.iter().zip(leg_rows).enumerate() {
-            let Some(rows) = rows else { continue };
-            let ft = self
-                .catalog
-                .table(&leg.table)
-                .ok_or_else(|| FedError::UnknownTable(leg.table.clone()))?;
-            let staging = format!("FED_STAGE_J{i}_{}", leg.table);
-            let _ = hub_db.execute(&format!("DROP TABLE {staging}"));
-            let cols: Vec<String> = leg
-                .columns
-                .iter()
-                .map(|c| {
-                    let ty = ft
-                        .columns
-                        .iter()
-                        .find(|(n, _)| n == c)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(SqlType::Clob);
-                    // DATALINK stages as CLOB text, as in the
-                    // single-table merge.
-                    let ty = match ty {
-                        SqlType::Datalink => SqlType::Clob,
-                        t => t,
-                    };
-                    format!("{c} {}", ty.sql_name())
-                })
-                .collect();
-            hub_db.execute(&format!("CREATE TABLE {staging} ({})", cols.join(", ")))?;
-            staged.push(staging.clone());
-            for row in &rows {
-                let row = row
-                    .iter()
-                    .map(|v| match v {
-                        Value::Datalink(u) => Value::Str(u.clone()),
-                        other => other.clone(),
-                    })
-                    .collect();
-                hub_db.insert_row(&staging, row)?;
-            }
-            // The staged table binds under the leg's original alias, so
-            // every qualified reference in the statement still resolves.
-            let tref = TableRef {
-                name: staging,
-                alias: Some(leg.alias.clone()),
-            };
-            if i == 0 {
-                sel2.from = Some(tref);
-            } else {
-                sel2.joins[i - 1].table = tref;
-            }
-        }
-        run_select(hub_db, &hub_db.read_view(), &sel2, params).map_err(FedError::Db)
+        Ok(run_select_over(
+            hub_db,
+            &hub_db.read_view(),
+            sel,
+            params,
+            relations,
+        )?)
     }
 
     /// Per-query pushdown-outcome conjunct counters.
@@ -2232,11 +2185,7 @@ impl Federation {
             }
             // The site re-runs the deterministic scan and ships only
             // the batches past the cursor.
-            let mut db = p.site.db.borrow_mut();
-            let rows = scan_rows(&mut db, &p.request)?;
-            let wc = db.write_counter();
-            drop(db);
-            let frames = frame_batches(&rows, self.batch_rows, p.cursor, wc);
+            let frames = serve_request(&p.site.db.borrow(), &req, self.batch_rows)?;
             let mut complete = true;
             for f in frames {
                 if net.now() >= deadline {
@@ -2290,6 +2239,7 @@ impl Federation {
     fn fallback(
         &self,
         net: &SimNet,
+        hub_db: &Database,
         obs: Option<&Obs>,
         site: &Site,
         g: &TableGather<'_>,
@@ -2330,7 +2280,7 @@ impl Federation {
                 match served {
                     Some((raw, age_secs)) => {
                         let rows = if g.request.partial_agg.is_some() {
-                            Self::partial_from_raw(ft, &g.request, &raw)?
+                            Self::partial_from_raw(hub_db, ft, &g.request, &raw)?
                         } else {
                             project(&raw, ft, g.columns)
                         };
@@ -2381,50 +2331,33 @@ impl Federation {
 
     /// Convert raw full-partition rows (replica-cache copies and
     /// cache-refilling scans) into the partial-state rows a live site
-    /// would have shipped for `request`: seed an in-memory database
-    /// with the rows and run the pushed grouped statement over it.
-    /// DATALINK values stage as their URL text but keep NULL-ness, so
+    /// would have shipped for `request`: run the pushed grouped
+    /// statement on the hub executor with the rows bound as its table.
+    /// DATALINK values bind as their URL text but keep NULL-ness, so
     /// `COUNT(link_col)` counts exactly the rows whose link was set.
     fn partial_from_raw(
+        hub_db: &Database,
         ft: &ForeignTable,
         request: &ScanRequest,
         raw: &[Vec<Value>],
     ) -> Result<Vec<Vec<Value>>, FedError> {
-        let mut db = Database::new_in_memory();
-        let cols: Vec<String> = ft
-            .columns
-            .iter()
-            .map(|(c, t)| {
-                let ty = match t {
-                    SqlType::Datalink => SqlType::Clob,
-                    t => *t,
-                };
-                format!("{c} {}", ty.sql_name())
-            })
-            .collect();
-        db.execute(&format!("CREATE TABLE {} ({})", ft.name, cols.join(", ")))?;
-        for row in raw {
-            let row = row
-                .iter()
-                .map(|v| match v {
-                    Value::Datalink(u) => Value::Str(u.clone()),
-                    other => other.clone(),
-                })
-                .collect();
-            db.insert_row(&ft.name, row)?;
-        }
-        let rs = db.execute_with_params(&request.to_sql(), &request.effective_params())?;
+        let Stmt::Select(sel) = parse(&request.to_sql())? else {
+            return Err(FedError::Unsupported("scan request is not a SELECT".into()));
+        };
+        let rel = Relation::new(&ft.columns, raw.to_vec())?;
+        let params = request.effective_params();
+        let rs = run_select_over(hub_db, &hub_db.read_view(), &sel, &params, vec![Some(rel)])?;
         Ok(rs.rows)
     }
 
     /// Merge a gather into the statement's final result: partial
-    /// aggregates combine in memory, everything else goes through the
-    /// staging-table re-run. Fills the EXPLAIN aggregate section and
-    /// bumps the partial-agg metric families.
+    /// aggregates fold their states, everything else re-runs the
+    /// statement over the shipped rows. Fills the EXPLAIN aggregate
+    /// section and bumps the partial-agg metric families.
     #[allow(clippy::too_many_arguments)]
     fn merge_outcome(
         &self,
-        hub_db: &mut Database,
+        hub_db: &Database,
         obs: Option<&Obs>,
         sel: &SelectStmt,
         ft: &ForeignTable,
@@ -2477,14 +2410,22 @@ impl Federation {
                     .add(1.0);
             }
         }
-        self.merge(hub_db, sel, &ft.name, plan, params, gathered)
+        // Ship-rows merge: the original statement over the shipped
+        // rows, bound in place of the foreign table.
+        let rel = Relation::new(&typed_columns(ft, &plan.columns), gathered)?;
+        Ok(run_select_over(
+            hub_db,
+            &hub_db.read_view(),
+            sel,
+            params,
+            vec![Some(rel)],
+        )?)
     }
 
-    /// Merge partial-aggregate state rows into the final result,
-    /// entirely in memory: combine per-site states group by group under
-    /// the site executor's own overflow rules, then apply HAVING, the
-    /// select list, ORDER BY and LIMIT exactly as the single-database
-    /// aggregate pipeline would.
+    /// Merge partial-aggregate state rows into the final result: fold
+    /// every site's partial states into one executor [`AggState`] per
+    /// group and aggregate call, then hand the groups to the executor's
+    /// own HAVING, select list, ORDER BY and LIMIT.
     fn merge_partial_agg(
         &self,
         hub_db: &Database,
@@ -2494,47 +2435,13 @@ impl Federation {
         params: &[Value],
         gathered: Vec<Vec<Value>>,
     ) -> Result<ResultSet, FedError> {
+        let calls = aggregate_calls(sel);
         let k = agg.group_cols.len();
-        let mut groups: Vec<(Vec<Value>, Vec<CallState>)> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
-        for row in &gathered {
-            if row.len() != k + agg.calls.len() {
-                return Err(FedError::Db(DbError::Eval(format!(
-                    "partial-aggregate row carries {} values, expected {}",
-                    row.len(),
-                    k + agg.calls.len()
-                ))));
-            }
-            let (key_vals, partials) = row.split_at(k);
-            let gi = *index.entry(format!("{key_vals:?}")).or_insert_with(|| {
-                groups.push((
-                    key_vals.to_vec(),
-                    agg.calls.iter().map(CallState::new).collect(),
-                ));
-                groups.len() - 1
-            });
-            for (st, v) in groups[gi].1.iter_mut().zip(partials) {
-                st.absorb(v);
-            }
-        }
-        // A global aggregate whose every partition was pruned or
-        // skipped still yields its one empty-input group, exactly as a
-        // zero-row table does locally.
-        if groups.is_empty() && k == 0 {
-            groups.push((vec![], agg.calls.iter().map(CallState::new).collect()));
-        }
-
         // Scalar parts of the statement evaluate against a
         // representative row: group columns carry the group's value,
         // every other column is NULL (the planner only admits
         // statements whose scalar parts touch group columns).
-        let alias = sel
-            .from
-            .as_ref()
-            .and_then(|t| t.alias.clone())
-            .unwrap_or_else(|| ft.name.clone());
         let names: Vec<String> = ft.columns.iter().map(|(c, _)| c.clone()).collect();
-        let schema = RowSchema::for_table(&alias, &names);
         let mut positions = Vec::with_capacity(k);
         for c in &agg.group_cols {
             let pos = names
@@ -2548,313 +2455,65 @@ impl Federation {
                 })?;
             positions.push(pos);
         }
-
-        let mut columns = Vec::with_capacity(sel.items.len());
-        for item in &sel.items {
-            let SelectItem::Expr { expr, alias } = item else {
-                return Err(FedError::Db(DbError::Eval(
-                    "wildcard not allowed with GROUP BY / aggregates".into(),
-                )));
-            };
-            columns.push(
-                alias
-                    .clone()
-                    .unwrap_or_else(|| easia_db::exec::derive_name(expr)),
-            );
-        }
-        let mut out_rows = Vec::new();
-        let mut sort_ctx: Vec<(Vec<Value>, HashMap<String, Value>)> = Vec::new();
-        for (key_vals, states) in &groups {
-            let mut rep = vec![Value::Null; names.len()];
-            for (pos, v) in positions.iter().zip(key_vals) {
-                rep[*pos] = v.clone();
+        let mut groups: Vec<AggGroup> = Vec::new();
+        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+        for row in &gathered {
+            if row.len() != k + agg.calls.len() {
+                return Err(FedError::Db(DbError::Eval(format!(
+                    "partial-aggregate row carries {} values, expected {}",
+                    row.len(),
+                    k + agg.calls.len()
+                ))));
             }
-            let mut aggs: HashMap<String, Value> = HashMap::new();
-            for (key, fin) in &agg.finishers {
-                aggs.insert(key.clone(), finish_call(fin, states));
-            }
-            if let Some(h) = &sel.having {
-                let v = eval_with_aggs(hub_db, h, &schema, &rep, &aggs, params)?;
-                if truth(&v) != Some(true) {
-                    continue;
+            let (key_vals, partials) = row.split_at(k);
+            let mut key = Vec::new();
+            encode_row(key_vals, &mut key);
+            let gi = *index.entry(key).or_insert_with(|| {
+                let mut rep = vec![Value::Null; names.len()];
+                for (pos, v) in positions.iter().zip(key_vals) {
+                    rep[*pos] = v.clone();
                 }
-            }
-            let mut out = Vec::with_capacity(sel.items.len());
-            for item in &sel.items {
-                let SelectItem::Expr { expr, .. } = item else {
-                    unreachable!("wildcard items rejected above");
-                };
-                out.push(eval_with_aggs(hub_db, expr, &schema, &rep, &aggs, params)?);
-            }
-            out_rows.push(out);
-            sort_ctx.push((rep, aggs));
-        }
-
-        if !sel.order_by.is_empty() {
-            let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(out_rows.len());
-            for (row, (rep, aggs)) in out_rows.iter().zip(&sort_ctx) {
-                let mut keys = Vec::with_capacity(sel.order_by.len());
-                for ob in &sel.order_by {
-                    // A bare column matching an output alias sorts by
-                    // the output column, as the local pipeline does.
-                    if let Expr::Column { table: None, name } = &ob.expr {
-                        if let Some(pos) = columns.iter().position(|c| c.eq_ignore_ascii_case(name))
-                        {
-                            keys.push(row[pos].clone());
-                            continue;
-                        }
-                    }
-                    keys.push(eval_with_aggs(
-                        hub_db, &ob.expr, &schema, rep, aggs, params,
-                    )?);
-                }
-                keyed.push((keys, row.clone()));
-            }
-            keyed.sort_by(|a, b| {
-                for (i, ob) in sel.order_by.iter().enumerate() {
-                    let ord = a.0[i].total_cmp(&b.0[i]);
-                    let ord = if ob.asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
+                groups.push(AggGroup {
+                    rep,
+                    states: vec![AggState::default(); calls.len()],
+                });
+                groups.len() - 1
             });
-            out_rows = keyed.into_iter().map(|(_, r)| r).collect();
+            for ((st, call), inputs) in groups[gi].states.iter_mut().zip(&calls).zip(&agg.inputs) {
+                let vals: Vec<&Value> = inputs.iter().map(|&i| &partials[i]).collect();
+                st.merge_partial(call, &vals)?;
+            }
         }
-        if let Some(limit) = sel.limit {
-            out_rows.truncate(limit);
-        }
-        Ok(ResultSet {
-            columns,
-            rows: out_rows,
-            affected: 0,
+        let alias = sel
+            .from
+            .as_ref()
+            .and_then(|t| t.alias.clone())
+            .unwrap_or_else(|| ft.name.clone());
+        let schema = RowSchema::for_table(&alias, &names);
+        Ok(finish_groups(hub_db, sel, &schema, groups, params)?)
+    }
+}
+
+/// The shipped `columns` of `ft` with their declared types (CLOB when
+/// the catalog does not know one), as a relation binds them.
+fn typed_columns(ft: &ForeignTable, columns: &[String]) -> Vec<(String, SqlType)> {
+    columns
+        .iter()
+        .map(|c| {
+            let ty = ft
+                .columns
+                .iter()
+                .find(|(n, _)| n == c)
+                .map_or(SqlType::Clob, |(_, t)| *t);
+            (c.clone(), ty)
         })
-    }
-
-    /// Create the staging table, load the gathered rows, re-run the
-    /// original statement, and drop the staging table again.
-    fn merge(
-        &self,
-        hub_db: &mut Database,
-        sel: &SelectStmt,
-        table: &str,
-        plan: &TablePlan,
-        params: &[Value],
-        rows: Vec<Vec<Value>>,
-    ) -> Result<ResultSet, FedError> {
-        let ft = self
-            .catalog
-            .table(table)
-            .ok_or_else(|| FedError::UnknownTable(table.to_string()))?;
-        let staging = format!("FED_STAGE_{table}");
-        let _ = hub_db.execute(&format!("DROP TABLE {staging}"));
-        let cols: Vec<String> = plan
-            .columns
-            .iter()
-            .map(|c| {
-                let ty = ft
-                    .columns
-                    .iter()
-                    .find(|(n, _)| n == c)
-                    .map(|(_, t)| *t)
-                    .unwrap_or(SqlType::Clob);
-                // DATALINK columns stage as CLOB text: link control stays
-                // with the owning site, the hub only sees the URL.
-                let ty = match ty {
-                    SqlType::Datalink => SqlType::Clob,
-                    t => t,
-                };
-                format!("{c} {}", ty.sql_name())
-            })
-            .collect();
-        hub_db.execute(&format!("CREATE TABLE {staging} ({})", cols.join(", ")))?;
-        let mut load = || -> Result<ResultSet, FedError> {
-            for row in &rows {
-                let row = row
-                    .iter()
-                    .map(|v| match v {
-                        Value::Datalink(u) => Value::Str(u.clone()),
-                        other => other.clone(),
-                    })
-                    .collect();
-                hub_db.insert_row(&staging, row)?;
-            }
-            let mut sel2 = sel.clone();
-            let alias = sel
-                .from
-                .as_ref()
-                .and_then(|t| t.alias.clone())
-                .unwrap_or_else(|| table.to_string());
-            sel2.from = Some(TableRef {
-                name: staging.clone(),
-                alias: Some(alias),
-            });
-            run_select(hub_db, &hub_db.read_view(), &sel2, params).map_err(FedError::Db)
-        };
-        let result = load();
-        let _ = hub_db.execute(&format!("DROP TABLE {staging}"));
-        result
-    }
-}
-
-/// Merge-time accumulator for one pushed aggregate call. The SUM rules
-/// match the site executor's exactly: an all-Int sum stays Int under
-/// `checked_add`, demotes to DOUBLE on overflow, and the f64 shadow sum
-/// keeps accumulating either way — so combining partial states applies
-/// the same overflow policy the sites did (DESIGN.md, "aggregate
-/// overflow policy").
-enum CallState {
-    /// Running COUNT tally (both `COUNT(*)` and `COUNT(col)` partials
-    /// arrive as plain row counts).
-    Count(i64),
-    /// Running SUM with the Int/Double promotion state.
-    Sum {
-        /// Any non-NULL partial absorbed yet?
-        seen: bool,
-        /// Still exactly representable as i64?
-        is_int: bool,
-        /// Integer sum, valid while `is_int`.
-        int_sum: i64,
-        /// Shadow f64 sum, always maintained.
-        f_sum: f64,
-    },
-    /// Running minimum.
-    Min(Option<Value>),
-    /// Running maximum.
-    Max(Option<Value>),
-}
-
-impl CallState {
-    fn new(call: &AggCall) -> CallState {
-        match call {
-            AggCall::CountStar | AggCall::Count(_) => CallState::Count(0),
-            AggCall::Sum(_) => CallState::Sum {
-                seen: false,
-                is_int: true,
-                int_sum: 0,
-                f_sum: 0.0,
-            },
-            AggCall::Min(_) => CallState::Min(None),
-            AggCall::Max(_) => CallState::Max(None),
-        }
-    }
-
-    /// Fold one site's partial value into the running state. NULL
-    /// partials (an empty group at that site) contribute nothing.
-    fn absorb(&mut self, v: &Value) {
-        match self {
-            CallState::Count(n) => {
-                if let Value::Int(i) = v {
-                    *n += i;
-                }
-            }
-            CallState::Sum {
-                seen,
-                is_int,
-                int_sum,
-                f_sum,
-            } => match v {
-                Value::Null => {}
-                Value::Int(i) => {
-                    *seen = true;
-                    if *is_int {
-                        match int_sum.checked_add(*i) {
-                            Some(s) => *int_sum = s,
-                            None => *is_int = false,
-                        }
-                    }
-                    *f_sum += *i as f64;
-                }
-                Value::Double(f) => {
-                    *seen = true;
-                    *is_int = false;
-                    *f_sum += f;
-                }
-                _ => {}
-            },
-            CallState::Min(cur) => {
-                if !v.is_null() {
-                    let better = match cur {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == std::cmp::Ordering::Less,
-                    };
-                    if better {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
-            CallState::Max(cur) => {
-                if !v.is_null() {
-                    let better = match cur {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == std::cmp::Ordering::Greater,
-                    };
-                    if better {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Produce one original aggregate's final value from the merged call
-/// states, mirroring the single-database `finish_agg` exactly: SUM over
-/// no rows is NULL, an all-Int SUM stays Int, AVG divides the carried
-/// SUM by the carried non-NULL COUNT.
-fn finish_call(fin: &Finisher, states: &[CallState]) -> Value {
-    let sum_of = |idx: usize| match &states[idx] {
-        CallState::Sum {
-            seen,
-            is_int,
-            int_sum,
-            f_sum,
-        } => {
-            if !seen {
-                Value::Null
-            } else if *is_int {
-                Value::Int(*int_sum)
-            } else {
-                Value::Double(*f_sum)
-            }
-        }
-        _ => Value::Null,
-    };
-    match fin {
-        Finisher::Count { idx } => match &states[*idx] {
-            CallState::Count(n) => Value::Int(*n),
-            _ => Value::Null,
-        },
-        Finisher::Sum { idx } => sum_of(*idx),
-        Finisher::Avg { sum_idx, count_idx } => {
-            let n = match &states[*count_idx] {
-                CallState::Count(n) => *n,
-                _ => 0,
-            };
-            if n == 0 {
-                return Value::Null;
-            }
-            match sum_of(*sum_idx) {
-                Value::Int(i) => Value::Double(i as f64 / n as f64),
-                Value::Double(f) => Value::Double(f / n as f64),
-                _ => Value::Null,
-            }
-        }
-        Finisher::Min { idx } => match &states[*idx] {
-            CallState::Min(v) => v.clone().unwrap_or(Value::Null),
-            _ => Value::Null,
-        },
-        Finisher::Max { idx } => match &states[*idx] {
-            CallState::Max(v) => v.clone().unwrap_or(Value::Null),
-            _ => Value::Null,
-        },
-    }
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remote::frame_batches;
     use easia_net::LinkSpec;
 
     fn site_db(site: &str, n: i64) -> Database {
@@ -2914,7 +2573,7 @@ mod tests {
 
     fn q(r: &mut Rig, sql: &str, params: &[Value]) -> QueryOutcome {
         r.fed
-            .query(&mut r.net, r.hub, &mut r.hub_db, None, sql, params)
+            .query(&mut r.net, r.hub, &r.hub_db, None, sql, params)
             .unwrap()
     }
 
@@ -2959,7 +2618,7 @@ mod tests {
     #[test]
     fn site_key_pruning_skips_partitions() {
         let mut r = rig();
-        r.fed.analyze(&mut r.hub_db).unwrap();
+        r.fed.analyze(&r.hub_db).unwrap();
         let out = q(
             &mut r,
             "SELECT K FROM SIM WHERE SITE = ? ORDER BY K",
@@ -3042,14 +2701,7 @@ mod tests {
         r.fed.site("cam").unwrap().crash();
         let err = r
             .fed
-            .query(
-                &mut r.net,
-                r.hub,
-                &mut r.hub_db,
-                None,
-                "SELECT K FROM SIM",
-                &[],
-            )
+            .query(&mut r.net, r.hub, &r.hub_db, None, "SELECT K FROM SIM", &[])
             .unwrap_err();
         match err {
             FedError::SiteUnavailable {
@@ -3076,8 +2728,8 @@ mod tests {
 
     #[test]
     fn explain_without_execution() {
-        let mut r = rig();
-        r.fed.analyze(&mut r.hub_db).unwrap();
+        let r = rig();
+        r.fed.analyze(&r.hub_db).unwrap();
         let ex = r
             .fed
             .explain(
@@ -3091,27 +2743,6 @@ mod tests {
         assert!(text.contains("site cam: pruned"));
         assert!(text.contains("(N > 1)"));
         assert_eq!(ex.rows_shipped(), 0);
-    }
-
-    #[test]
-    fn staging_table_is_cleaned_up() {
-        let mut r = rig();
-        q(&mut r, "SELECT K FROM SIM", &[]);
-        assert!(r.hub_db.schema("FED_STAGE_SIM").is_none());
-        // Even when the merge query fails mid-way.
-        let err = r
-            .fed
-            .query(
-                &mut r.net,
-                r.hub,
-                &mut r.hub_db,
-                None,
-                "SELECT K FROM SIM WHERE NO_SUCH_COL = 1",
-                &[],
-            )
-            .unwrap_err();
-        assert!(matches!(err, FedError::Unsupported(_) | FedError::Db(_)));
-        assert!(r.hub_db.schema("FED_STAGE_SIM").is_none());
     }
 
     #[test]
@@ -3162,7 +2793,7 @@ mod tests {
             .query(
                 &mut r.net,
                 r.hub,
-                &mut r.hub_db,
+                &r.hub_db,
                 Some(&obs),
                 "SELECT K FROM SIM WHERE N >= 2",
                 &[],
@@ -3208,7 +2839,7 @@ mod tests {
             .query(
                 &mut r2.net,
                 r2.hub,
-                &mut r2.hub_db,
+                &r2.hub_db,
                 Some(&obs),
                 "SELECT K, N FROM SIM ORDER BY K",
                 &[],
@@ -3242,7 +2873,7 @@ mod tests {
                 .query(
                     &mut r.net,
                     r.hub,
-                    &mut r.hub_db,
+                    &r.hub_db,
                     Some(&obs),
                     "SELECT COUNT(*) FROM SIM",
                     &[],
@@ -3271,7 +2902,7 @@ mod tests {
             .query(
                 &mut r.net,
                 r.hub,
-                &mut r.hub_db,
+                &r.hub_db,
                 Some(&obs),
                 "SELECT K FROM SIM WHERE SITE = 'cam'",
                 &[],
@@ -3324,7 +2955,7 @@ mod tests {
         r.fed.site("cam").unwrap().crash();
         let out = r
             .fed
-            .query(&mut r.net, r.hub, &mut r.hub_db, Some(&obs), sql, &[])
+            .query(&mut r.net, r.hub, &r.hub_db, Some(&obs), sql, &[])
             .unwrap();
         assert_eq!(out.rs.rows, warm.rs.rows);
         assert!(out.explain.skipped.is_empty());
@@ -3562,13 +3193,13 @@ mod tests {
         let sql = "SELECT * FROM SIM S JOIN RES S ON S.K = S.K";
         let with = r
             .fed
-            .query(&mut r.net, r.hub, &mut r.hub_db, None, sql, &[])
+            .query(&mut r.net, r.hub, &r.hub_db, None, sql, &[])
             .unwrap_err()
             .to_string();
         r.fed.pushdown = false;
         let without = r
             .fed
-            .query(&mut r.net, r.hub, &mut r.hub_db, None, sql, &[])
+            .query(&mut r.net, r.hub, &r.hub_db, None, sql, &[])
             .unwrap_err()
             .to_string();
         assert_eq!(with, without);
@@ -3622,7 +3253,7 @@ mod tests {
         r.fed.register_metrics(&obs);
         let sql = "SELECT S.K, R.R FROM SIM S JOIN RES R ON S.K = R.K";
         r.fed
-            .query(&mut r.net, r.hub, &mut r.hub_db, Some(&obs), sql, &[])
+            .query(&mut r.net, r.hub, &r.hub_db, Some(&obs), sql, &[])
             .unwrap();
         let page = obs.metrics.render();
         assert!(
@@ -3631,7 +3262,7 @@ mod tests {
         );
         r.fed.semijoin_max_keys = 1;
         r.fed
-            .query(&mut r.net, r.hub, &mut r.hub_db, Some(&obs), sql, &[])
+            .query(&mut r.net, r.hub, &r.hub_db, Some(&obs), sql, &[])
             .unwrap();
         let page = obs.metrics.render();
         assert!(
@@ -3681,7 +3312,7 @@ mod tests {
                 .query(
                     &mut r.net,
                     r.hub,
-                    &mut r.hub_db,
+                    &r.hub_db,
                     Some(&obs),
                     "SELECT COUNT(*) FROM SIM",
                     &[],
@@ -3837,7 +3468,7 @@ mod tests {
         let t0 = rl.net.now();
         let seq: Vec<QueryOutcome> = rl
             .fed
-            .query_many(&mut rl.net, rl.hub, &mut rl.hub_db, None, &qs)
+            .query_many(&mut rl.net, rl.hub, &rl.hub_db, None, &qs)
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
@@ -3847,7 +3478,7 @@ mod tests {
         let t0 = rp.net.now();
         let many: Vec<QueryOutcome> = rp
             .fed
-            .query_many(&mut rp.net, rp.hub, &mut rp.hub_db, None, &qs)
+            .query_many(&mut rp.net, rp.hub, &rp.hub_db, None, &qs)
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
@@ -3872,9 +3503,7 @@ mod tests {
                 vec![Value::Int(1)],
             ),
         ];
-        let res = r
-            .fed
-            .query_many(&mut r.net, r.hub, &mut r.hub_db, None, &qs);
+        let res = r.fed.query_many(&mut r.net, r.hub, &r.hub_db, None, &qs);
         assert_eq!(res.len(), 3);
         assert_eq!(res[0].as_ref().unwrap().rs.rows, vec![vec![Value::Int(12)]]);
         assert!(matches!(res[1], Err(FedError::UnknownTable(_))));
@@ -3914,13 +3543,13 @@ mod tests {
         let t0 = a.net.now();
         let oa = a
             .fed
-            .query(&mut a.net, a.hub, &mut a.hub_db, None, sql, &[])
+            .query(&mut a.net, a.hub, &a.hub_db, None, sql, &[])
             .unwrap();
         let ea = a.net.now() - t0;
         let t0 = b.net.now();
         let ob = b
             .fed
-            .query(&mut b.net, b.hub, &mut b.hub_db, None, sql, &[])
+            .query(&mut b.net, b.hub, &b.hub_db, None, sql, &[])
             .unwrap();
         let eb = b.net.now() - t0;
         assert_eq!(oa.rs.rows, ob.rs.rows);

@@ -19,7 +19,8 @@
 //!   (ORDER BY/LIMIT) pushdown, and site-key partition pruning.
 //! * [`remote`] — the thin site-side executor that runs pushed scans.
 //! * [`federation`] — scatter-gather execution over the simulated WAN
-//!   with a bounded in-flight window, staging-table merge, typed
+//!   with a bounded in-flight window, a read-only hub merge (gathered
+//!   rows bound as in-memory relations on the hub executor), typed
 //!   partial-results policy, and federation metrics.
 //! * [`breaker`] — per-site circuit breakers (closed/open/half-open)
 //!   with fault-schedule-derived cooldowns.
@@ -51,7 +52,7 @@ pub use explain::{AggExplain, FedExplain, SiteExplain, SiteSource, StaleSite};
 pub use federation::{
     FedError, Federation, PartialPolicy, QueryOutcome, Site, DEFAULT_DEADLINE_SECS,
 };
-pub use planner::{plan_select, AggPlan, Finisher, TablePlan};
+pub use planner::{plan_select, AggPlan, TablePlan};
 pub use prefetch::{Lookup, PrefetchCache, DEFAULT_PREFETCH_CAPACITY};
 pub use remote::{serve_scan, RemoteError, DEFAULT_BATCH_ROWS};
 pub use replica::{CacheEntry, ReplicaCache};

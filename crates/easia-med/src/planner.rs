@@ -7,8 +7,8 @@
 //! and which partitions a site-key binding allows us to skip entirely
 //! (partition pruning).
 //!
-//! Correctness story: the hub re-runs the *original* statement over a
-//! staging table filled with the shipped rows, so pushdown only ever
+//! Correctness story: the hub re-runs the *original* statement with the
+//! shipped rows bound in place of the foreign table, so pushdown only ever
 //! removes rows/columns that provably cannot influence the result —
 //! pushed conjuncts are row-local filters (evaluating them twice is
 //! idempotent), the shipped projection includes every column the
@@ -18,45 +18,11 @@
 use crate::catalog::{FedCatalog, ForeignTable};
 use crate::wire::{AggCall, PartialAggSpec};
 use crate::FedError;
-use easia_db::exec::{agg_key, collect_aggs, derive_name, is_aggregate_fn};
+use easia_db::exec::{aggregate_calls, derive_name, is_aggregate_fn};
 use easia_db::sql::ast::{BinaryOp, Expr, JoinKind, OrderBy, SelectItem, SelectStmt, TableRef};
 use easia_db::sql::expr_to_sql;
 use easia_db::{plan, Value};
 use std::collections::BTreeSet;
-
-/// How one original aggregate call site finishes from the merged
-/// partial states (indexes are positions in [`AggPlan::calls`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Finisher {
-    /// `COUNT(*)` / `COUNT(col)`: sum the shipped per-site counts.
-    Count {
-        /// Position of the COUNT partial in the shipped calls.
-        idx: usize,
-    },
-    /// `SUM(col)`: merge partials with the same i64-overflow promotion
-    /// to DOUBLE the site-local aggregate applies.
-    Sum {
-        /// Position of the SUM partial in the shipped calls.
-        idx: usize,
-    },
-    /// `AVG(col)`: exact ratio of the merged SUM and COUNT partials.
-    Avg {
-        /// Position of the SUM partial in the shipped calls.
-        sum_idx: usize,
-        /// Position of the non-NULL COUNT partial in the shipped calls.
-        count_idx: usize,
-    },
-    /// `MIN(col)`: least shipped partial under the SQL total order.
-    Min {
-        /// Position of the MIN partial in the shipped calls.
-        idx: usize,
-    },
-    /// `MAX(col)`: greatest shipped partial under the SQL total order.
-    Max {
-        /// Position of the MAX partial in the shipped calls.
-        idx: usize,
-    },
-}
 
 /// The decomposition of an aggregate statement into site-local partial
 /// aggregates plus a hub-side merge: each site ships one partial-state
@@ -67,10 +33,11 @@ pub struct AggPlan {
     pub group_cols: Vec<String>,
     /// Deduplicated partial calls each site computes locally.
     pub calls: Vec<AggCall>,
-    /// Per original aggregate call site — `(exec::agg_key of the
-    /// original expression, finisher)` — in discovery order (items,
-    /// HAVING, ORDER BY), matching the local executor's.
-    pub finishers: Vec<(String, Finisher)>,
+    /// Per original aggregate call, in the executor's
+    /// `exec::aggregate_calls` order: the positions in `calls` of the
+    /// partials it merges — one, or the SUM then the COUNT for AVG (the
+    /// layout `AggState::merge_partial` takes).
+    pub inputs: Vec<Vec<usize>>,
 }
 
 impl AggPlan {
@@ -214,20 +181,11 @@ fn plan_partial_agg(
     let col_set: BTreeSet<&str> = ft.columns.iter().map(|(c, _)| c.as_str()).collect();
 
     // Aggregate call sites, in the local executor's discovery order.
-    let mut aggs: Vec<Expr> = Vec::new();
-    let mut wildcard = false;
-    for item in &sel.items {
-        match item {
-            SelectItem::Expr { expr, .. } => collect_aggs(expr, &mut aggs),
-            _ => wildcard = true,
-        }
-    }
-    if let Some(h) = &sel.having {
-        collect_aggs(h, &mut aggs);
-    }
-    for ob in &sel.order_by {
-        collect_aggs(&ob.expr, &mut aggs);
-    }
+    let aggs = aggregate_calls(sel);
+    let wildcard = sel
+        .items
+        .iter()
+        .any(|i| !matches!(i, SelectItem::Expr { .. }));
     if aggs.is_empty() && sel.group_by.is_empty() {
         return Ok(None); // not an aggregate statement
     }
@@ -267,18 +225,16 @@ fn plan_partial_agg(
             }
         }
     };
-    let mut finishers = Vec::with_capacity(aggs.len());
+    let mut inputs = Vec::with_capacity(aggs.len());
     for agg in &aggs {
         let Expr::Function { name, args, star } = agg else {
             return Err("expr-arg");
         };
-        let finisher = if *star {
+        let input = if *star {
             if name != "COUNT" {
                 return Err("expr-arg");
             }
-            Finisher::Count {
-                idx: call_idx(&mut calls, AggCall::CountStar),
-            }
+            vec![call_idx(&mut calls, AggCall::CountStar)]
         } else {
             let col = match args.as_slice() {
                 [Expr::Column { table, name: c }]
@@ -289,26 +245,18 @@ fn plan_partial_agg(
                 _ => return Err("expr-arg"),
             };
             match name.as_str() {
-                "COUNT" => Finisher::Count {
-                    idx: call_idx(&mut calls, AggCall::Count(col)),
-                },
-                "SUM" => Finisher::Sum {
-                    idx: call_idx(&mut calls, AggCall::Sum(col)),
-                },
-                "AVG" => Finisher::Avg {
-                    sum_idx: call_idx(&mut calls, AggCall::Sum(col.clone())),
-                    count_idx: call_idx(&mut calls, AggCall::Count(col)),
-                },
-                "MIN" => Finisher::Min {
-                    idx: call_idx(&mut calls, AggCall::Min(col)),
-                },
-                "MAX" => Finisher::Max {
-                    idx: call_idx(&mut calls, AggCall::Max(col)),
-                },
+                "COUNT" => vec![call_idx(&mut calls, AggCall::Count(col))],
+                "SUM" => vec![call_idx(&mut calls, AggCall::Sum(col))],
+                "AVG" => vec![
+                    call_idx(&mut calls, AggCall::Sum(col.clone())),
+                    call_idx(&mut calls, AggCall::Count(col)),
+                ],
+                "MIN" => vec![call_idx(&mut calls, AggCall::Min(col))],
+                "MAX" => vec![call_idx(&mut calls, AggCall::Max(col))],
                 _ => return Err("expr-arg"),
             }
         };
-        finishers.push((agg_key(agg), finisher));
+        inputs.push(input);
     }
 
     // Outside the aggregates, only grouped columns may appear — any
@@ -353,7 +301,7 @@ fn plan_partial_agg(
     Ok(Some(AggPlan {
         group_cols,
         calls,
-        finishers,
+        inputs,
     }))
 }
 

@@ -33,31 +33,43 @@ impl std::fmt::Display for RemoteError {
 impl std::error::Error for RemoteError {}
 
 /// Execute a decoded scan request against the site database, returning
-/// the result rows.
-pub fn scan_rows(db: &mut Database, req: &ScanRequest) -> Result<Vec<Vec<Value>>, RemoteError> {
+/// the result rows. Read-only: the scan never writes the site.
+pub fn scan_rows(db: &Database, req: &ScanRequest) -> Result<Vec<Vec<Value>>, RemoteError> {
     let rs = db
-        .execute_with_params(&req.to_sql(), &req.effective_params())
+        .query(&req.to_sql(), &req.effective_params())
         .map_err(RemoteError::Db)?;
     Ok(rs.rows)
+}
+
+/// Run a decoded scan request and frame its reply: the result rows in
+/// batches of at most `batch_rows`, skipping the batches before the
+/// request's resume cursor, each stamped with the site's write counter.
+/// The one site-scan routine — the hub's pumps and its resume ladder
+/// call it directly, [`serve_scan`] after decoding a wire frame.
+pub fn serve_request(
+    db: &Database,
+    req: &ScanRequest,
+    batch_rows: usize,
+) -> Result<Vec<Vec<u8>>, RemoteError> {
+    let rows = scan_rows(db, req)?;
+    Ok(frame_batches(
+        &rows,
+        batch_rows,
+        req.resume_from,
+        db.write_counter(),
+    ))
 }
 
 /// Execute a wire-encoded scan request end to end: decode, run, and
 /// frame the rows into batches of at most `batch_rows`, honouring the
 /// request's resume cursor.
 pub fn serve_scan(
-    db: &mut Database,
+    db: &Database,
     frame: &[u8],
     batch_rows: usize,
 ) -> Result<Vec<Vec<u8>>, RemoteError> {
     let req = ScanRequest::decode(frame).map_err(RemoteError::Wire)?;
-    let rows = scan_rows(db, &req)?;
-    let write_counter = db.write_counter();
-    Ok(frame_batches(
-        &rows,
-        batch_rows,
-        req.resume_from,
-        write_counter,
-    ))
+    serve_request(db, &req, batch_rows)
 }
 
 /// Chunk rows into encoded batch frames, skipping the first
@@ -100,7 +112,7 @@ mod tests {
 
     #[test]
     fn serves_pushed_scan_in_batches() {
-        let mut db = site_db();
+        let db = site_db();
         let req = ScanRequest {
             table: "SIM".into(),
             columns: vec!["K".into(), "N".into()],
@@ -112,7 +124,7 @@ mod tests {
             key_filter: None,
             partial_agg: None,
         };
-        let frames = serve_scan(&mut db, &req.encode(), 2).unwrap();
+        let frames = serve_scan(&db, &req.encode(), 2).unwrap();
         assert_eq!(frames.len(), 2);
         let batches: Vec<_> = frames.iter().map(|f| decode_batch(f).unwrap()).collect();
         assert_eq!(batches[0].seq, 0);
@@ -127,7 +139,7 @@ mod tests {
             resume_from: 1,
             ..req
         };
-        let tail = serve_scan(&mut db, &resumed.encode(), 2).unwrap();
+        let tail = serve_scan(&db, &resumed.encode(), 2).unwrap();
         assert_eq!(tail.len(), 1);
         let b = decode_batch(&tail[0]).unwrap();
         assert_eq!(b.seq, 1);
@@ -136,7 +148,7 @@ mod tests {
 
     #[test]
     fn empty_result_still_ships_one_frame() {
-        let mut db = site_db();
+        let db = site_db();
         let req = ScanRequest {
             table: "SIM".into(),
             columns: vec!["K".into()],
@@ -148,7 +160,7 @@ mod tests {
             key_filter: None,
             partial_agg: None,
         };
-        let frames = serve_scan(&mut db, &req.encode(), 64).unwrap();
+        let frames = serve_scan(&db, &req.encode(), 64).unwrap();
         assert_eq!(frames.len(), 1);
         let batch = decode_batch(&frames[0]).unwrap();
         assert!(batch.rows.is_empty());
@@ -160,7 +172,7 @@ mod tests {
 
     #[test]
     fn keyed_scan_returns_only_matching_rows() {
-        let mut db = site_db();
+        let db = site_db();
         let req = ScanRequest {
             table: "SIM".into(),
             columns: vec!["K".into(), "N".into()],
@@ -172,7 +184,7 @@ mod tests {
             key_filter: Some(("N".into(), vec![Value::Int(1), Value::Int(3)])),
             partial_agg: None,
         };
-        let rows = scan_rows(&mut db, &req).unwrap();
+        let rows = scan_rows(&db, &req).unwrap();
         assert_eq!(
             rows,
             vec![
@@ -188,15 +200,15 @@ mod tests {
             params: vec![Value::Int(2)],
             ..req
         };
-        let rows = scan_rows(&mut db, &both).unwrap();
+        let rows = scan_rows(&db, &both).unwrap();
         assert_eq!(rows, vec![vec![Value::Str("k3".into()), Value::Int(3)]]);
     }
 
     #[test]
     fn bad_frame_and_bad_sql_are_typed() {
-        let mut db = site_db();
+        let db = site_db();
         assert!(matches!(
-            serve_scan(&mut db, b"nope", 64),
+            serve_scan(&db, b"nope", 64),
             Err(RemoteError::Wire(_))
         ));
         let req = ScanRequest {
@@ -211,7 +223,7 @@ mod tests {
             partial_agg: None,
         };
         assert!(matches!(
-            serve_scan(&mut db, &req.encode(), 64),
+            serve_scan(&db, &req.encode(), 64),
             Err(RemoteError::Db(_))
         ));
     }

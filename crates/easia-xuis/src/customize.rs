@@ -62,12 +62,6 @@ impl<'a> Customizer<'a> {
         Ok(())
     }
 
-    /// Hide a table from the interface.
-    pub fn hide_table(&mut self, table: &str) -> CResult {
-        self.table_mut(table)?.hidden = true;
-        Ok(())
-    }
-
     /// Hide a column from the interface.
     pub fn hide_column(&mut self, table: &str, column: &str) -> CResult {
         self.column_mut(table, column)?.hidden = true;

@@ -106,7 +106,7 @@ fn agg_archive(foreign: &[&str], rows_per_site: usize) -> (Archive, Database) {
         .catalog
         .import_foreign_table(&a.db, "SIMULATION", Some("SITE"), partitions)
         .unwrap();
-    a.federation.analyze(&mut a.db).unwrap();
+    a.federation.analyze(&a.db).unwrap();
     (a, oracle_db(&parts, rows_per_site))
 }
 
@@ -622,7 +622,7 @@ proptest! {
                 )
             })
             .collect();
-        let (mut net, hub, mut hub_db, fed, mut oracle) = prop_rig(&inserts);
+        let (mut net, hub, hub_db, fed, mut oracle) = prop_rig(&inserts);
 
         let queries: [(&str, Vec<Value>); 5] = [
             ("SELECT COUNT(*), COUNT(N), COUNT(X) FROM T", vec![]),
@@ -639,7 +639,7 @@ proptest! {
             ("SELECT COUNT(*), SUM(N) FROM T WHERE N >= ?", vec![Value::Int(threshold)]),
         ];
         for (sql, params) in &queries {
-            let out = fed.query(&mut net, hub, &mut hub_db, None, sql, params).unwrap();
+            let out = fed.query(&mut net, hub, &hub_db, None, sql, params).unwrap();
             let want = oracle.execute_with_params(sql, params).unwrap();
             prop_assert_eq!(&out.rs.columns, &want.columns);
             prop_assert_eq!(&out.rs.rows, &want.rows);
@@ -675,13 +675,13 @@ proptest! {
                 )
             })
             .collect();
-        let (mut net, hub, mut hub_db, fed, mut oracle) = prop_rig(&inserts);
+        let (mut net, hub, hub_db, fed, mut oracle) = prop_rig(&inserts);
 
         for sql in [
             "SELECT SUM(N), AVG(N), COUNT(*) FROM T",
             "SELECT SITE, SUM(N), AVG(N) FROM T GROUP BY SITE ORDER BY SITE",
         ] {
-            let out = fed.query(&mut net, hub, &mut hub_db, None, sql, &[]).unwrap();
+            let out = fed.query(&mut net, hub, &hub_db, None, sql, &[]).unwrap();
             let want = oracle.execute(sql).unwrap();
             prop_assert_eq!(&out.rs.rows, &want.rows);
             prop_assert!(out.explain.agg.unwrap().partial);
@@ -707,11 +707,9 @@ fn sum_overflowing_i64_promotes_to_the_exact_double() {
             )
         })
         .collect();
-    let (mut net, hub, mut hub_db, fed, mut oracle) = prop_rig(&inserts);
+    let (mut net, hub, hub_db, fed, mut oracle) = prop_rig(&inserts);
     let sql = "SELECT SUM(N), COUNT(*) FROM T";
-    let out = fed
-        .query(&mut net, hub, &mut hub_db, None, sql, &[])
-        .unwrap();
+    let out = fed.query(&mut net, hub, &hub_db, None, sql, &[]).unwrap();
     let want = oracle.execute(sql).unwrap();
     assert_eq!(out.rs.rows, want.rows);
     let expect = (1u128 << 64) as f64;

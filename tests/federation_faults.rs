@@ -56,7 +56,7 @@ fn fed_archive(rows_per_site: usize) -> Archive {
             ],
         )
         .unwrap();
-    a.federation.analyze(&mut a.db).unwrap();
+    a.federation.analyze(&a.db).unwrap();
     a.generate_xuis_federated(4);
     a
 }
@@ -316,7 +316,7 @@ fn join_archive(rows_per_site: usize, cache: bool) -> Archive {
             )
             .unwrap();
     }
-    a.federation.analyze(&mut a.db).unwrap();
+    a.federation.analyze(&a.db).unwrap();
     a
 }
 

@@ -236,7 +236,7 @@ proptest! {
         };
 
         let out = fed
-            .query(&mut net, hub, &mut hub_db, None, &sql, &params)
+            .query(&mut net, hub, &hub_db, None, &sql, &params)
             .unwrap();
         let want = oracle.execute_with_params(&sql, &params).unwrap();
 
@@ -357,7 +357,7 @@ proptest! {
         };
 
         let out = fed
-            .query(&mut net, hub, &mut hub_db, None, &sql, &params)
+            .query(&mut net, hub, &hub_db, None, &sql, &params)
             .unwrap();
         let want = oracle.execute_with_params(&sql, &params).unwrap();
 
@@ -422,13 +422,13 @@ proptest! {
         };
 
         let sql = "SELECT K, N FROM T";
-        let (mut net, hub, mut hub_db, fed) = build(None);
-        let baseline = fed.query(&mut net, hub, &mut hub_db, None, sql, &[]).unwrap();
+        let (mut net, hub, hub_db, fed) = build(None);
+        let baseline = fed.query(&mut net, hub, &hub_db, None, sql, &[]).unwrap();
 
-        let (mut net2, hub2, mut hub_db2, fed2) =
+        let (mut net2, hub2, hub_db2, fed2) =
             build(Some((outage_start, outage_start + outage_len)));
         let out = fed2
-            .query(&mut net2, hub2, &mut hub_db2, None, sql, &[])
+            .query(&mut net2, hub2, &hub_db2, None, sql, &[])
             .unwrap();
 
         prop_assert_eq!(&out.rs.rows, &baseline.rs.rows);
