@@ -91,6 +91,87 @@ fn bench_sql(c: &mut Criterion) {
     g.finish();
 }
 
+/// A SIMULATION-shaped table (the federation benchmarks' partition
+/// layout): `rows` rows over 4 topics, 20 sites and 256 viscosity
+/// buckets, with a composite index led by SITE.
+fn simulation_db(rows: usize) -> Database {
+    const TOPICS: [&str; 4] = ["Decaying", "Forced", "Rotating", "Sheared"];
+    let mut db = Database::new_in_memory();
+    db.execute(
+        "CREATE TABLE simulation (simulation_key VARCHAR(40) PRIMARY KEY, \
+         site VARCHAR(20), topic VARCHAR(20), grid_size INTEGER, viscosity DOUBLE)",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX ix_site_topic_grid ON simulation (site, topic, grid_size)")
+        .unwrap();
+    for i in 0..rows {
+        let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        db.execute_with_params(
+            "INSERT INTO simulation VALUES (?, ?, ?, ?, ?)",
+            &[
+                Value::Str(format!("S{i:06}")),
+                Value::Str(format!("site{}", h % 20)),
+                Value::Str(TOPICS[(h >> 8) as usize % 4].to_string()),
+                Value::Int(32 << ((h >> 16) % 4)),
+                Value::Double(((h >> 20) % 256) as f64 / 256.0),
+            ],
+        )
+        .unwrap();
+    }
+    db
+}
+
+/// The executor's scan layer over 10,000 rows: a selective filter, a
+/// grouped aggregate, a top-k and a composite-index probe. Rates are
+/// base-table rows per second (the probe's 1/20 of them).
+fn bench_sql_scan(c: &mut Criterion) {
+    const ROWS: usize = 10_000;
+    let db = simulation_db(ROWS);
+    let mut g = c.benchmark_group("sql");
+    g.throughput(Throughput::Elements(ROWS as u64));
+    g.bench_function("scan_filter_10k", |b| {
+        b.iter(|| {
+            db.query(
+                "SELECT simulation_key, site, grid_size, viscosity FROM simulation \
+                 WHERE viscosity >= ? AND viscosity < ? ORDER BY simulation_key",
+                &[Value::Double(0.25), Value::Double(0.28)],
+            )
+            .unwrap()
+        })
+    });
+    g.bench_function("group_agg_10k", |b| {
+        b.iter(|| {
+            db.query(
+                "SELECT topic, COUNT(*), SUM(grid_size), AVG(viscosity), MIN(viscosity) \
+                 FROM simulation WHERE grid_size >= ? GROUP BY topic ORDER BY topic",
+                &[Value::Int(64)],
+            )
+            .unwrap()
+        })
+    });
+    g.bench_function("topk_10k", |b| {
+        b.iter(|| {
+            db.query(
+                "SELECT simulation_key, topic, viscosity FROM simulation WHERE topic = ? \
+                 ORDER BY viscosity DESC, simulation_key LIMIT 25",
+                &[Value::Str("Forced".into())],
+            )
+            .unwrap()
+        })
+    });
+    g.throughput(Throughput::Elements((ROWS / 20) as u64));
+    g.bench_function("composite_probe", |b| {
+        b.iter(|| {
+            db.query(
+                "SELECT COUNT(*), MAX(grid_size) FROM simulation WHERE site = ?",
+                &[Value::Str("site7".into())],
+            )
+            .unwrap()
+        })
+    });
+    g.finish();
+}
+
 fn bench_btree(c: &mut Criterion) {
     use easia_db::index::BPlusTree;
     use easia_db::storage::RowId;
@@ -247,6 +328,7 @@ fn bench_epc(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sql,
+    bench_sql_scan,
     bench_btree,
     bench_crypto,
     bench_xml_xuis,

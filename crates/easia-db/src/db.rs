@@ -5,9 +5,11 @@
 use crate::crc::crc32;
 use crate::error::{DbError, Result};
 use crate::exec;
-use crate::expr::FnRegistry;
+use crate::expr::{Binder, FnRegistry, RowSchema};
 use crate::index::BPlusTree;
-use crate::mvcc::{Csn, MvccState, ReadView, SnapshotId, TxnId, VacuumStats, LATEST_CSN};
+use crate::mvcc::{
+    Csn, MvccState, ReadView, SnapshotId, TableVisibility, TxnId, VacuumStats, LATEST_CSN,
+};
 use crate::schema::{ColumnDef, DatalinkSpec, ForeignKey, TableSchema};
 use crate::scrub::ScrubReport;
 use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
@@ -896,9 +898,10 @@ impl Database {
         self.mvcc.last_csn()
     }
 
-    /// Row-version visibility for executor scans.
-    pub(crate) fn row_visible(&self, table: &str, rid: RowId, view: &ReadView) -> bool {
-        self.mvcc.visible(table, rid, view)
+    /// Row-version visibility of `table` under `view`, resolved once
+    /// per executor scan.
+    pub(crate) fn visibility(&self, table: &str, view: &ReadView) -> TableVisibility<'_> {
+        self.mvcc.table_visibility(table, view)
     }
 
     /// The read view a statement executed right now would use (latest
@@ -1254,18 +1257,25 @@ impl Database {
             .clone();
         let view = self.stmt_view();
         let targets = exec::collect_matching(self, &view, &tname, where_clause, params)?;
+        let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
+        let row_schema = RowSchema::for_table(&tname, &names);
+        let binder = Binder {
+            schema: &row_schema,
+            params,
+            functions: &self.functions,
+        };
         let mut set_pos = Vec::new();
         for (c, e) in sets {
             let pos = schema
                 .column_index(c)
                 .ok_or_else(|| DbError::Catalog(format!("column {c} not found in {tname}")))?;
-            set_pos.push((pos, e.clone()));
+            set_pos.push((pos, binder.bind(e)));
         }
         let mut affected = 0usize;
         for (rid, old_row) in targets {
             let mut new_row = old_row.clone();
             for (pos, e) in &set_pos {
-                new_row[*pos] = exec::eval_row(self, e, &tname, &old_row, params)?;
+                new_row[*pos] = e.eval(&old_row, &[])?.into_owned();
             }
             self.update_row(&tname, rid, old_row, new_row)?;
             affected += 1;

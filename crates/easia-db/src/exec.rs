@@ -1,92 +1,106 @@
 //! Query execution.
+//!
+//! A SELECT over one base table runs as one fused pipeline: MVCC
+//! visibility first (the table's version map looked up once per scan),
+//! then a decode of just the slots the WHERE reads, the WHERE itself,
+//! and — only for rows that pass — a decode of the slots the aggregate
+//! or projection reads. Every expression is bound to slot indices once
+//! per statement ([`Binder`]) and evaluated by reference. A scanned row
+//! becomes an owned `Vec<Value>` only when the pipeline keeps it: a
+//! projected output row, a new group's representative row, an
+//! UPDATE/DELETE target. ORDER BY with LIMIT keeps a bounded top-k.
+//!
+//! A SELECT with joins materialises the joined rows and runs the same
+//! WHERE, aggregate and projection stages over them, as does one over
+//! caller-bound [`Relation`]s.
+//!
+//! Fusing the stages does not reorder their failures: a WHERE error on
+//! any row wins over a later stage's error on an earlier row, select-list
+//! errors win over ORDER BY key errors, and every `easia_db_*` counter
+//! records what the staged pipeline recorded.
+
+mod agg;
+
+pub use agg::{aggregate_calls, is_aggregate_fn, AggGroup, AggState};
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
-use crate::expr::{truth, EvalContext, FnRegistry, RowSchema};
+use crate::expr::{Binder, Bound, RowSchema};
 use crate::mvcc::ReadView;
 use crate::obs::DbMetrics;
 use crate::plan::{choose_access_path, AccessPath};
-use crate::sql::ast::{Expr, Join, JoinKind, OrderBy, SelectItem, SelectStmt};
+use crate::schema::DatalinkSpec;
+use crate::sql::ast::{Expr, Join, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
-use crate::value::{encode_row, SqlType, Value};
-use std::collections::HashMap;
+use crate::value::{decode_columns, decode_row, encode_row, SqlType, Value};
+use agg::{project_groups, Aggregate};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::rc::Rc;
 
 /// Evaluate a row-independent expression (INSERT values, constants).
 pub fn eval_const(db: &Database, expr: &Expr, params: &[Value]) -> Result<Value> {
     let schema = RowSchema::default();
-    let ctx = EvalContext {
-        schema: &schema,
-        row: &[],
-        params,
-        functions: db.functions(),
-    };
-    ctx.eval(expr)
+    binder(db, &schema, params)
+        .bind(expr)
+        .eval(&[], &[])
+        .map(Cow::into_owned)
 }
 
-/// Evaluate an expression against one row of `table`.
-pub fn eval_row(
-    db: &Database,
-    expr: &Expr,
-    table: &str,
-    row: &[Value],
-    params: &[Value],
-) -> Result<Value> {
-    let names: Vec<String> = db
-        .schema(table)
-        .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    let schema = RowSchema::for_table(table, &names);
-    let ctx = EvalContext {
-        schema: &schema,
-        row,
+fn binder<'a>(db: &'a Database, schema: &'a RowSchema, params: &'a [Value]) -> Binder<'a> {
+    Binder {
+        schema,
         params,
         functions: db.functions(),
-    };
-    ctx.eval(expr)
+    }
 }
 
 fn column_names(t: &Table) -> Vec<String> {
     t.schema.columns.iter().map(|c| c.name.clone()).collect()
 }
 
-/// The `(RowId, row)` pairs of heap table `t` (named `table`) visible to
-/// `view` along `path`.
+/// The `(RowId, record)` pairs of heap table `t` (named `table`) visible
+/// to `view` along `path`, in access-path order. Visibility is checked
+/// before anything is decoded.
+fn candidates<'t>(
+    db: &'t Database,
+    view: &ReadView,
+    t: &'t Table,
+    table: &str,
+    path: &AccessPath,
+) -> Box<dyn Iterator<Item = (RowId, &'t [u8])> + 't> {
+    let vis = db.visibility(table, view);
+    match path {
+        AccessPath::FullScan => {
+            Box::new(t.heap.scan_raw().filter(move |(rid, _)| vis.visible(*rid)))
+        }
+        AccessPath::IndexEq { index_pos, key, .. } => {
+            // The probe equates the index's leading column; on a
+            // composite index that is a prefix of the key.
+            let rids = t.indexes[*index_pos]
+                .tree
+                .prefix_rows(std::slice::from_ref(key));
+            Box::new(
+                rids.into_iter()
+                    .filter(move |rid| vis.visible(*rid))
+                    .filter_map(|rid| t.heap.get_raw(rid).map(|rec| (rid, rec))),
+            )
+        }
+    }
+}
+
+/// Every row of `t` visible to `view` along `path`, fully decoded.
 fn fetch(
     db: &Database,
     view: &ReadView,
     t: &Table,
     table: &str,
-    path: AccessPath,
-) -> Vec<(RowId, Vec<Value>)> {
-    match path {
-        AccessPath::FullScan => t
-            .heap
-            .scan()
-            .filter(|(rid, _)| db.row_visible(table, *rid, view))
-            .collect(),
-        AccessPath::IndexEq { index_pos, key, .. } => {
-            let ix = &t.indexes[index_pos];
-            let rids = if ix.col_indices.len() == 1 {
-                ix.tree.get(std::slice::from_ref(&key))
-            } else {
-                // Composite index: range over entries whose first column
-                // equals the probe key.
-                ix.tree
-                    .range(None, None)
-                    .into_iter()
-                    .filter(|(k, _)| k.first() == Some(&key))
-                    .flat_map(|(_, rows)| rows)
-                    .collect()
-            };
-            rids.into_iter()
-                .filter(|rid| db.row_visible(table, *rid, view))
-                .filter_map(|rid| t.heap.get(rid).map(|row| (rid, row)))
-                .collect()
-        }
-    }
+    path: &AccessPath,
+) -> Result<Vec<Vec<Value>>> {
+    candidates(db, view, t, table, path)
+        .map(|(_, rec)| decode_row(rec, &mut 0))
+        .collect()
 }
 
 /// Account one base-table access in the scan metrics.
@@ -99,6 +113,171 @@ fn note_scan(db: &Database, index_probe: bool, rows: usize) {
         }
         m.rows_scanned.add(rows as f64);
         m.stage_scan.observe(rows as f64);
+    }
+}
+
+/// Where a pipeline's rows come from.
+enum Input<'a> {
+    /// A heap table's visible records along an access path, decoded
+    /// lazily; its scan is counted when the pipeline has run.
+    Heap {
+        t: &'a Table,
+        table: String,
+        path: AccessPath,
+        view: &'a ReadView,
+    },
+    /// Rows already decoded (and already counted): a bound relation or
+    /// joined rows.
+    Rows(Vec<Vec<Value>>),
+}
+
+impl Input<'_> {
+    /// All rows, decoded, with a heap scan counted.
+    fn into_rows(self, db: &Database) -> Result<Vec<Vec<Value>>> {
+        match self {
+            Input::Heap {
+                t,
+                table,
+                path,
+                view,
+            } => {
+                let rows = fetch(db, view, t, &table, &path)?;
+                note_scan(db, matches!(path, AccessPath::IndexEq { .. }), rows.len());
+                Ok(rows)
+            }
+            Input::Rows(rows) => Ok(rows),
+        }
+    }
+}
+
+/// A row that passed WHERE, as the next stage sees it: the decoded
+/// slots that stage reads, and for a heap row its id and record, for
+/// the stages that keep the whole row.
+struct Passed<'a> {
+    rid: Option<RowId>,
+    row: &'a [Value],
+    rec: Option<&'a [u8]>,
+}
+
+impl Passed<'_> {
+    /// The whole row, owned: the one per-row allocation, made only for
+    /// rows a stage keeps.
+    fn to_row(&self) -> Result<Vec<Value>> {
+        match self.rec {
+            Some(rec) => decode_row(rec, &mut 0),
+            None => Ok(self.row.to_vec()),
+        }
+    }
+}
+
+/// Sorted, deduplicated slot list.
+fn slot_set(mut slots: Vec<usize>) -> Vec<usize> {
+    slots.sort_unstable();
+    slots.dedup();
+    slots
+}
+
+/// Run `filter` over `input` and hand each row that passes to `sink`,
+/// which reads only `sink_slots` (beyond what `filter` reads); returns
+/// how many rows passed.
+///
+/// Failures keep the staged pipeline's order. A WHERE error on any row
+/// is returned ahead of a sink error on an earlier one; after either,
+/// the scan still runs to count its candidates, so `note_scan` records
+/// what a fetch-then-filter pass recorded. `observe_filter` records the
+/// filter stage's row count once WHERE has run without error.
+fn drive(
+    db: &Database,
+    input: &Input,
+    filter: Option<&Bound>,
+    sink_slots: &[usize],
+    observe_filter: bool,
+    mut sink: impl FnMut(Passed<'_>) -> Result<()>,
+) -> Result<usize> {
+    let mut where_err = None;
+    let mut sink_err = None;
+    let mut passed = 0usize;
+    match input {
+        Input::Heap {
+            t,
+            table,
+            path,
+            view,
+        } => {
+            let mut where_slots = Vec::new();
+            if let Some(f) = filter {
+                f.slots(&mut where_slots);
+            }
+            let where_slots = slot_set(where_slots);
+            let rest = slot_set(
+                sink_slots
+                    .iter()
+                    .copied()
+                    .filter(|s| where_slots.binary_search(s).is_err())
+                    .collect(),
+            );
+            let mut scratch = vec![Value::Null; t.schema.columns.len()];
+            let mut scanned = 0usize;
+            for (rid, rec) in candidates(db, view, t, table, path) {
+                scanned += 1;
+                if where_err.is_some() {
+                    continue;
+                }
+                decode_columns(rec, &where_slots, &mut scratch)?;
+                match filter.map_or(Ok(Some(true)), |f| f.truth(&scratch)) {
+                    Ok(Some(true)) => {}
+                    Ok(_) => continue,
+                    Err(e) => {
+                        where_err = Some(e);
+                        continue;
+                    }
+                }
+                passed += 1;
+                if sink_err.is_none() {
+                    decode_columns(rec, &rest, &mut scratch)?;
+                    let row = Passed {
+                        rid: Some(rid),
+                        row: &scratch,
+                        rec: Some(rec),
+                    };
+                    sink_err = sink(row).err();
+                }
+            }
+            note_scan(db, matches!(path, AccessPath::IndexEq { .. }), scanned);
+        }
+        Input::Rows(rows) => {
+            for row in rows {
+                match filter.map_or(Ok(Some(true)), |f| f.truth(row)) {
+                    Ok(Some(true)) => {}
+                    Ok(_) => continue,
+                    Err(e) => {
+                        where_err = Some(e);
+                        break;
+                    }
+                }
+                passed += 1;
+                if sink_err.is_none() {
+                    let row = Passed {
+                        rid: None,
+                        row,
+                        rec: None,
+                    };
+                    sink_err = sink(row).err();
+                }
+            }
+        }
+    }
+    if let Some(e) = where_err {
+        return Err(e);
+    }
+    if observe_filter && filter.is_some() {
+        if let Some(m) = db.metrics() {
+            m.stage_filter.observe(passed as f64);
+        }
+    }
+    match sink_err {
+        Some(e) => Err(e),
+        None => Ok(passed),
     }
 }
 
@@ -116,28 +295,19 @@ pub fn collect_matching(
         .table(table)
         .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?;
     let path = choose_access_path(db, t, table, where_clause, params)?;
-    let index_probe = matches!(path, AccessPath::IndexEq { .. });
-    let candidates = fetch(db, view, t, table, path);
-    note_scan(db, index_probe, candidates.len());
     let schema = RowSchema::for_table(table, &column_names(t));
+    let filter = where_clause.map(|w| binder(db, &schema, params).bind(w));
+    let input = Input::Heap {
+        t,
+        table: table.to_string(),
+        path,
+        view,
+    };
     let mut out = Vec::new();
-    for (rid, row) in candidates {
-        let keep = match where_clause {
-            None => true,
-            Some(pred) => {
-                let ctx = EvalContext {
-                    schema: &schema,
-                    row: &row,
-                    params,
-                    functions: db.functions(),
-                };
-                truth(&ctx.eval(pred)?) == Some(true)
-            }
-        };
-        if keep {
-            out.push((rid, row));
-        }
-    }
+    drive(db, &input, filter.as_ref(), &[], false, |p| {
+        out.push((p.rid.expect("heap rows carry their id"), p.to_row()?));
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -235,31 +405,8 @@ pub fn run_select_over(
     params: &[Value],
     relations: Vec<Option<Relation>>,
 ) -> Result<ResultSet> {
-    // Table-less SELECT: evaluate items against an empty row.
     let Some(from) = &sel.from else {
-        let schema = RowSchema::default();
-        let ctx = EvalContext {
-            schema: &schema,
-            row: &[],
-            params,
-            functions: db.functions(),
-        };
-        let mut columns = Vec::new();
-        let mut row = Vec::new();
-        for item in &sel.items {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-                    row.push(ctx.eval(expr)?);
-                }
-                _ => return Err(DbError::Eval("wildcard requires FROM".into())),
-            }
-        }
-        return Ok(ResultSet {
-            columns,
-            rows: vec![row],
-            affected: 0,
-        });
+        return select_without_from(db, sel, params);
     };
 
     // ---- base table ----
@@ -271,33 +418,34 @@ pub fn run_select_over(
     // no catalog entry and never appear here.
     let mut alias_map: HashMap<String, String> = HashMap::new();
     let mut bound = relations.into_iter();
-    let (names, mut rows, index_probe) = match bound.next().flatten() {
-        Some(rel) => (rel.columns, rel.rows, false),
+    let (names, input) = match bound.next().flatten() {
+        Some(rel) => {
+            note_scan(db, false, rel.rows.len());
+            (rel.columns, Input::Rows(rel.rows))
+        }
         None => {
             let base_name = from.name.to_ascii_uppercase();
             alias_map.insert(base_alias.clone(), base_name.clone());
-            let base_table = db
+            let t = db
                 .table(&from.name)
                 .ok_or_else(|| DbError::Catalog(format!("table {} does not exist", from.name)))?;
-            let path = choose_access_path(
-                db,
-                base_table,
-                &base_alias,
-                sel.where_clause.as_ref(),
-                params,
-            )?;
-            let index_probe = matches!(path, AccessPath::IndexEq { .. });
-            let rows = fetch(db, view, base_table, &base_name, path)
-                .into_iter()
-                .map(|(_, r)| r)
-                .collect();
-            (column_names(base_table), rows, index_probe)
+            let path = choose_access_path(db, t, &base_alias, sel.where_clause.as_ref(), params)?;
+            let input = Input::Heap {
+                t,
+                table: base_name,
+                path,
+                view,
+            };
+            (column_names(t), input)
         }
     };
     let mut schema = RowSchema::for_table(&base_alias, &names);
-    note_scan(db, index_probe, rows.len());
+    if sel.joins.is_empty() {
+        return select_rows(db, sel, params, &schema, &input, &alias_map);
+    }
 
     // ---- joins ----
+    let mut rows = input.into_rows(db)?;
     for join in &sel.joins {
         (schema, rows) = run_join(
             db,
@@ -310,147 +458,79 @@ pub fn run_select_over(
             bound.next().flatten(),
         )?;
     }
-    if !sel.joins.is_empty() {
-        if let Some(m) = db.metrics() {
-            m.stage_join.observe(rows.len() as f64);
-        }
+    if let Some(m) = db.metrics() {
+        m.stage_join.observe(rows.len() as f64);
     }
+    select_rows(db, sel, params, &schema, &Input::Rows(rows), &alias_map)
+}
 
-    // ---- WHERE ----
-    if let Some(pred) = &sel.where_clause {
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let ctx = EvalContext {
-                schema: &schema,
-                row: &row,
-                params,
-                functions: db.functions(),
-            };
-            if truth(&ctx.eval(pred)?) == Some(true) {
-                kept.push(row);
+/// A table-less SELECT: its items evaluated once, against no row.
+fn select_without_from(db: &Database, sel: &SelectStmt, params: &[Value]) -> Result<ResultSet> {
+    let schema = RowSchema::default();
+    let binder = binder(db, &schema, params);
+    let mut columns = Vec::new();
+    let mut row = Vec::new();
+    for item in &sel.items {
+        match item {
+            SelectItem::Expr { expr, alias } => {
+                columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
+                row.push(binder.bind(expr).eval(&[], &[])?.into_owned());
             }
-        }
-        rows = kept;
-        if let Some(m) = db.metrics() {
-            m.stage_filter.observe(rows.len() as f64);
+            _ => return Err(DbError::Eval("wildcard requires FROM".into())),
         }
     }
+    Ok(ResultSet {
+        columns,
+        rows: vec![row],
+        affected: 0,
+    })
+}
 
-    // ---- aggregation or plain projection ----
+/// WHERE, then aggregation or projection, then DISTINCT, ORDER BY and
+/// LIMIT, over `input` rows shaped by `schema`.
+fn select_rows(
+    db: &Database,
+    sel: &SelectStmt,
+    params: &[Value],
+    schema: &RowSchema,
+    input: &Input,
+    alias_map: &HashMap<String, String>,
+) -> Result<ResultSet> {
+    let binder = binder(db, schema, params);
+    let filter = sel.where_clause.as_ref().map(|w| binder.bind(w));
     let has_agg = sel
         .items
         .iter()
         .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
         || sel.having.as_ref().is_some_and(|h| h.contains_aggregate())
         || !sel.group_by.is_empty();
-
-    let projection = if has_agg {
-        let out = aggregate_pipeline(db.functions(), sel, &schema, &rows, params)?;
+    if has_agg {
+        let calls = aggregate_calls(sel);
+        let mut agg = Aggregate::new(&binder, sel, &calls);
+        let slots = agg.slots();
+        drive(db, input, filter.as_ref(), &slots, true, |p| agg.push(&p))?;
+        let mut out = Collector::new(sel);
+        let (columns, groups) = project_groups(&binder, sel, &calls, agg.into_groups(), &mut out)?;
         if let Some(m) = db.metrics() {
-            m.stage_aggregate.observe(out.1.len() as f64);
+            m.stage_aggregate.observe(groups as f64);
         }
-        out
-    } else {
-        project_pipeline(db, sel, &schema, &rows, params, &alias_map)?
-    };
-    finish_select(
-        db.functions(),
-        db.metrics(),
-        sel,
-        &schema,
-        projection,
-        params,
-    )
-}
-
-/// Projected output: column names, rows, and per-row sort context.
-type Projection = (Vec<String>, Vec<Vec<Value>>, Vec<SortCtx>);
-
-/// Per-output-row context used to evaluate ORDER BY: the underlying
-/// (joined or representative) row plus any aggregate values.
-struct SortCtx {
-    row: Vec<Value>,
-    aggs: HashMap<String, Value>,
-}
-
-/// DISTINCT, ORDER BY and LIMIT over a projection. ORDER BY keys
-/// evaluate against `schema`, the shape of each sort-context row.
-fn finish_select(
-    fns: &FnRegistry,
-    metrics: Option<&DbMetrics>,
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    (columns, mut out_rows, mut sort_ctx): Projection,
-    params: &[Value],
-) -> Result<ResultSet> {
-    if sel.distinct {
-        let mut seen = std::collections::HashSet::new();
-        let mut kept_rows = Vec::new();
-        let mut kept_ctx = Vec::new();
-        for (row, ctx) in out_rows.into_iter().zip(sort_ctx) {
-            let mut buf = Vec::new();
-            encode_row(&row, &mut buf);
-            if seen.insert(buf) {
-                kept_rows.push(row);
-                kept_ctx.push(ctx);
-            }
-        }
-        out_rows = kept_rows;
-        sort_ctx = kept_ctx;
+        return out.finish(columns, db.metrics());
     }
-    if !sel.order_by.is_empty() {
-        let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(out_rows.len());
-        for (row, ctx) in out_rows.iter().zip(&sort_ctx) {
-            let mut keys = Vec::with_capacity(sel.order_by.len());
-            for ob in &sel.order_by {
-                keys.push(order_key(fns, ob, schema, ctx, row, &columns, params)?);
-            }
-            keyed.push((keys, row.clone()));
+    // The select list resolves its bare columns before any row is
+    // projected — but after WHERE has seen every row.
+    match Project::new(db, &binder, sel, alias_map) {
+        Ok(mut project) => {
+            let slots = project.slots();
+            drive(db, input, filter.as_ref(), &slots, true, |p| {
+                project.push(p.row)
+            })?;
+            project.out.finish(project.columns, db.metrics())
         }
-        keyed.sort_by(|a, b| {
-            for (i, ob) in sel.order_by.iter().enumerate() {
-                let ord = a.0[i].total_cmp(&b.0[i]);
-                let ord = if ob.asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        out_rows = keyed.into_iter().map(|(_, r)| r).collect();
-        if let Some(m) = metrics {
-            m.stage_sort.observe(out_rows.len() as f64);
+        Err(e) => {
+            drive(db, input, filter.as_ref(), &[], true, |_| Ok(()))?;
+            Err(e)
         }
     }
-    if let Some(limit) = sel.limit {
-        out_rows.truncate(limit);
-    }
-    if let Some(m) = metrics {
-        m.rows_returned.add(out_rows.len() as f64);
-    }
-    Ok(ResultSet {
-        columns,
-        rows: out_rows,
-        affected: 0,
-    })
-}
-
-fn order_key(
-    fns: &FnRegistry,
-    ob: &OrderBy,
-    schema: &RowSchema,
-    ctx: &SortCtx,
-    out_row: &[Value],
-    columns: &[String],
-    params: &[Value],
-) -> Result<Value> {
-    // A bare column matching an output alias sorts by the output column.
-    if let Expr::Column { table: None, name } = &ob.expr {
-        if let Some(pos) = columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-            return Ok(out_row[pos].clone());
-        }
-    }
-    eval_with_aggs(fns, &ob.expr, schema, &ctx.row, &ctx.aggs, params)
 }
 
 /// Derive an output column name for an unaliased select item, exactly
@@ -495,54 +575,51 @@ fn run_join(
     let out_schema = left_schema.join(&right_schema);
     let right_width = rnames.len();
 
-    let probe = heap
-        .as_ref()
-        .and_then(|(_, right)| equi_probe(join, &alias, right, left_schema));
+    // An index probe per left row when the ON clause equates an indexed
+    // right column with a left-side expression; otherwise every right row.
+    let probe = match &heap {
+        Some((right_name, right)) => {
+            equi_probe(join, &alias, right, left_schema).map(|(ipos, lexpr)| {
+                let key = binder(db, left_schema, params).bind(&lexpr);
+                (
+                    right,
+                    &right.indexes[ipos],
+                    key,
+                    db.visibility(right_name, view),
+                )
+            })
+        }
+        None => None,
+    };
     if let (Some((right_name, right)), None) = (&heap, &probe) {
-        right_rows = right
-            .heap
-            .scan()
-            .filter(|(rid, _)| db.row_visible(right_name, *rid, view))
-            .map(|(_, r)| r)
-            .collect();
+        right_rows = fetch(db, view, right, right_name, &AccessPath::FullScan)?;
     }
+    let on = binder(db, &out_schema, params).bind(&join.on);
 
     let mut out = Vec::new();
+    let mut probed = Vec::new();
     for lrow in left_rows {
-        let mut matched = false;
-        let candidates: Vec<Vec<Value>> = match (&heap, &probe) {
-            (Some((right_name, right)), Some((ipos, lexpr))) => {
-                let lctx = EvalContext {
-                    schema: left_schema,
-                    row: &lrow,
-                    params,
-                    functions: db.functions(),
-                };
-                let key = lctx.eval(lexpr)?;
-                if key.is_null() {
-                    Vec::new()
-                } else {
-                    right.indexes[*ipos]
-                        .tree
-                        .get(&[key])
-                        .into_iter()
-                        .filter(|rid| db.row_visible(right_name, *rid, view))
-                        .filter_map(|rid| right.heap.get(rid))
-                        .collect()
+        let candidates = match &probe {
+            Some((right, ix, key, vis)) => {
+                let key = key.eval(&lrow, &[])?;
+                probed.clear();
+                if !key.is_null() {
+                    for rid in ix.tree.get(std::slice::from_ref(key.as_ref())) {
+                        if vis.visible(rid) {
+                            probed.extend(right.heap.get(rid));
+                        }
+                    }
                 }
+                &probed
             }
-            _ => right_rows.clone(),
+            None => &right_rows,
         };
+        let mut matched = false;
         for rrow in candidates {
-            let mut combined = lrow.clone();
-            combined.extend(rrow);
-            let ctx = EvalContext {
-                schema: &out_schema,
-                row: &combined,
-                params,
-                functions: db.functions(),
-            };
-            if truth(&ctx.eval(&join.on)?) == Some(true) {
+            let mut combined = Vec::with_capacity(lrow.len() + right_width);
+            combined.extend_from_slice(&lrow);
+            combined.extend_from_slice(rrow);
+            if on.truth(&combined)? == Some(true) {
                 matched = true;
                 out.push(combined);
             }
@@ -607,444 +684,389 @@ fn expr_uses_only(e: &Expr, schema: &RowSchema) -> bool {
 
 // ---- plain projection ----
 
-fn project_pipeline(
-    db: &Database,
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    rows: &[Vec<Value>],
-    params: &[Value],
-    alias_map: &HashMap<String, String>,
-) -> Result<Projection> {
-    // Expand items to (name, kind) where kind is either a slot index
-    // (column passthrough, datalink-rendered) or an expression.
-    enum Out {
-        Slot(usize),
-        Expr(Expr),
-    }
-    let mut columns = Vec::new();
-    let mut outs = Vec::new();
-    for item in &sel.items {
-        match item {
-            SelectItem::Wildcard => {
-                for (i, c) in schema.columns.iter().enumerate() {
-                    columns.push(c.name.clone());
-                    outs.push(Out::Slot(i));
+/// One output column of a plain projection.
+enum Out {
+    /// A slot passed through, with the DATALINK spec of its heap column
+    /// when SELECT output renders a token into it.
+    Slot(usize, Option<DatalinkSpec>),
+    /// The select-list expression at this index of `Project::exprs`.
+    Expr(usize),
+}
+
+/// One ORDER BY key.
+enum Key {
+    /// A bare name matching an output column sorts by that column.
+    Out(usize),
+    /// Any other key evaluates over the input (or group) row.
+    Expr(Bound),
+}
+
+/// ORDER BY keys for output `columns`, bound over `binder`'s rows with
+/// the aggregate `calls` substituted.
+fn order_keys(binder: &Binder, sel: &SelectStmt, columns: &[String], calls: &[Expr]) -> Vec<Key> {
+    sel.order_by
+        .iter()
+        .map(|ob| {
+            if let Expr::Column { table: None, name } = &ob.expr {
+                if let Some(pos) = columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
+                    return Key::Out(pos);
                 }
             }
-            SelectItem::QualifiedWildcard(t) => {
-                let t = t.to_ascii_uppercase();
-                let mut any = false;
-                for (i, c) in schema.columns.iter().enumerate() {
-                    if c.table.as_deref() == Some(t.as_str()) {
-                        columns.push(c.name.clone());
-                        outs.push(Out::Slot(i));
-                        any = true;
-                    }
-                }
-                if !any {
-                    return Err(DbError::Eval(format!("unknown table alias {t} in {t}.*")));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-                // Column refs become slots so DATALINK rendering applies.
-                match expr {
-                    Expr::Column { table, name } => {
-                        let i = schema.resolve(table.as_deref(), name)?;
-                        outs.push(Out::Slot(i));
-                    }
-                    other => outs.push(Out::Expr(other.clone())),
-                }
-            }
-        }
-    }
-    // Slot -> datalink spec mapping for token rendering.
-    let mut dl_specs: HashMap<usize, crate::schema::DatalinkSpec> = HashMap::new();
-    for (i, cref) in schema.columns.iter().enumerate() {
-        if let Some(alias) = &cref.table {
-            if let Some(real) = alias_map.get(alias) {
-                if let Some(ts) = db.schema(real) {
-                    if let Some(col) = ts.column(&cref.name) {
-                        if let Some(spec) = &col.datalink {
-                            dl_specs.insert(i, spec.clone());
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut out_rows = Vec::with_capacity(rows.len());
-    let mut sort_ctx = Vec::with_capacity(rows.len());
-    for row in rows {
-        let ctx = EvalContext {
-            schema,
-            row,
-            params,
-            functions: db.functions(),
+            Key::Expr(binder.bind_with_aggs(&ob.expr, calls))
+        })
+        .collect()
+}
+
+/// The projection stage of a non-aggregate SELECT: evaluates the select
+/// list and ORDER BY keys of each row that passed WHERE and offers the
+/// output row to its [`Collector`], building it only if it can be kept.
+struct Project<'a> {
+    db: &'a Database,
+    columns: Vec<String>,
+    outs: Vec<Out>,
+    exprs: Vec<Bound>,
+    /// The current row's select-list expression values.
+    vals: Vec<Value>,
+    keys: Vec<Key>,
+    /// The current row's ORDER BY key values (buffers reused).
+    key_buf: Vec<Value>,
+    out: Collector,
+}
+
+impl<'a> Project<'a> {
+    /// Expand the select list over `binder`'s schema. Bare columns and
+    /// wildcards resolve here, so an unknown one fails before any row.
+    fn new(
+        db: &'a Database,
+        binder: &Binder,
+        sel: &SelectStmt,
+        alias_map: &HashMap<String, String>,
+    ) -> Result<Project<'a>> {
+        let schema = binder.schema;
+        // The DATALINK spec of a slot's heap column, if it has one.
+        let spec = |i: usize| {
+            let cref = &schema.columns[i];
+            let real = alias_map.get(cref.table.as_ref()?)?;
+            db.schema(real)?.column(&cref.name)?.datalink.clone()
         };
-        let mut out = Vec::with_capacity(outs.len());
-        for o in &outs {
-            match o {
-                Out::Slot(i) => {
-                    let v = row[*i].clone();
-                    let v = match (&v, dl_specs.get(i)) {
-                        (Value::Datalink(url), Some(spec)) => {
-                            Value::Datalink(db.render_datalink(spec, url))
-                        }
-                        _ => v,
-                    };
-                    out.push(v);
-                }
-                Out::Expr(e) => out.push(ctx.eval(e)?),
-            }
-        }
-        out_rows.push(out);
-        sort_ctx.push(SortCtx {
-            row: row.clone(),
-            aggs: HashMap::new(),
-        });
-    }
-    Ok((columns, out_rows, sort_ctx))
-}
-
-// ---- aggregation ----
-
-/// Canonical identity key for an aggregate call site, used to dedup
-/// repeated occurrences of the same call (e.g. `AVG(X)` in the item
-/// list and again in HAVING).
-fn agg_key(e: &Expr) -> String {
-    format!("{e:?}")
-}
-
-/// True when `name` is one of the supported aggregate functions.
-pub fn is_aggregate_fn(name: &str) -> bool {
-    matches!(name, "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
-}
-
-/// Collect aggregate call sites from an expression, deduplicated by
-/// [`agg_key`], in first-appearance order. Does not recurse into
-/// aggregate arguments (nested aggregates are invalid SQL).
-fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Function { name, .. } = e {
-        if is_aggregate_fn(name) {
-            if !out.iter().any(|x| agg_key(x) == agg_key(e)) {
-                out.push(e.clone());
-            }
-            return; // nested aggregates are invalid; don't recurse
-        }
-    }
-    match e {
-        Expr::Unary(_, inner) => collect_aggs(inner, out),
-        Expr::Binary(l, _, r) => {
-            collect_aggs(l, out);
-            collect_aggs(r, out);
-        }
-        Expr::IsNull { expr, .. } => collect_aggs(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggs(expr, out);
-            collect_aggs(pattern, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggs(expr, out);
-            for i in list {
-                collect_aggs(i, out);
-            }
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            collect_aggs(expr, out);
-            collect_aggs(lo, out);
-            collect_aggs(hi, out);
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_aggs(a, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// The aggregate calls of `sel` — select list, then HAVING, then ORDER
-/// BY, deduplicated by `agg_key` — in the order every
-/// [`AggGroup::states`] follows.
-pub fn aggregate_calls(sel: &SelectStmt) -> Vec<Expr> {
-    let mut calls = Vec::new();
-    for item in &sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_aggs(expr, &mut calls);
-        }
-    }
-    if let Some(h) = &sel.having {
-        collect_aggs(h, &mut calls);
-    }
-    for ob in &sel.order_by {
-        collect_aggs(&ob.expr, &mut calls);
-    }
-    calls
-}
-
-/// Running state of one aggregate call over one group — the single
-/// aggregate kernel. The executor absorbs every input row into it; the
-/// hub merge of partial-aggregate pushdown folds each partition's
-/// shipped partial state in with [`AggState::merge_partial`]. Both then
-/// finish through the same code.
-#[derive(Debug, Clone, Default)]
-pub struct AggState {
-    count: i64,
-    sum: f64,
-    sum_is_int: bool,
-    int_sum: i64,
-    min: Option<Value>,
-    max: Option<Value>,
-    non_null: i64,
-}
-
-impl AggState {
-    /// Absorb one argument value of aggregate `name`; NULL contributes
-    /// nothing.
-    fn absorb(&mut self, name: &str, v: &Value) -> Result<()> {
-        if v.is_null() {
-            return Ok(());
-        }
-        match name {
-            "COUNT" => {}
-            "SUM" | "AVG" => self.add_sum(name, v)?,
-            "MIN" => {
-                if self
-                    .min
-                    .as_ref()
-                    .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less)
-                {
-                    self.min = Some(v.clone());
-                }
-            }
-            "MAX" => {
-                if self
-                    .max
-                    .as_ref()
-                    .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Greater)
-                {
-                    self.max = Some(v.clone());
-                }
-            }
-            other => return Err(DbError::Eval(format!("unknown aggregate {other}"))),
-        }
-        self.non_null += 1;
-        Ok(())
-    }
-
-    /// Add the non-NULL `v` to the running SUM. The sum stays an exact
-    /// i64 while every value summed is an integer (the first one decides)
-    /// and promotes to DOUBLE on i64 overflow (see DESIGN.md, "aggregate
-    /// overflow policy"); the f64 shadow sum always accumulates.
-    fn add_sum(&mut self, name: &str, v: &Value) -> Result<()> {
-        match v {
-            Value::Int(i) => {
-                if self.non_null == 0 {
-                    self.sum_is_int = true;
-                }
-                if self.sum_is_int {
-                    match self.int_sum.checked_add(*i) {
-                        Some(s) => self.int_sum = s,
-                        None => self.sum_is_int = false,
-                    }
-                }
-                self.sum += *i as f64;
-            }
-            other => {
-                let n = other.numeric().ok_or_else(|| {
-                    DbError::Type(format!("{name} over non-numeric {}", other.type_name()))
-                })?;
-                self.sum_is_int = false;
-                self.sum += n;
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold one partition's partial state for aggregate call `agg` into
-    /// this state — the hub side of partial-aggregate pushdown.
-    /// `partial` is what the partition's own executor computed: its
-    /// COUNT for COUNT; its SUM, MIN or MAX for those; and the SUM then
-    /// the COUNT of the argument for AVG. A partition's SUM, MIN or MAX
-    /// folds in exactly like one more input value, so merged sums keep
-    /// the executor's i64-overflow promotion to DOUBLE.
-    pub fn merge_partial(&mut self, agg: &Expr, partial: &[&Value]) -> Result<()> {
-        let Expr::Function { name, star, .. } = agg else {
-            return Err(DbError::Eval("partial state for a non-aggregate".into()));
-        };
-        let count = |v: &Value| match v {
-            Value::Int(n) => *n,
-            _ => 0,
-        };
-        match (name.as_str(), partial) {
-            ("COUNT", [n]) if *star => self.count += count(n),
-            ("COUNT", [n]) => self.non_null += count(n),
-            ("SUM" | "MIN" | "MAX", [v]) => self.absorb(name, v)?,
-            ("AVG", [sum, n]) => {
-                // The SUM folds in as one value; the non-NULL tally is
-                // the partition's COUNT.
-                if !sum.is_null() {
-                    self.add_sum(name, sum)?;
-                }
-                self.non_null += count(n);
-            }
-            _ => {
-                return Err(DbError::Eval(format!(
-                    "partial state for {name} carries {} values",
-                    partial.len()
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// The aggregate's final value.
-    fn finish(&self, name: &str, star: bool) -> Value {
-        match name {
-            // COUNT(*) counts rows; COUNT(col) counts non-NULL values.
-            // The two tallies are kept separate — conflating them
-            // over-reports COUNT(col) on NULL-containing columns.
-            "COUNT" => Value::Int(if star { self.count } else { self.non_null }),
-            "SUM" => {
-                if self.non_null == 0 {
-                    Value::Null
-                } else if self.sum_is_int {
-                    Value::Int(self.int_sum)
-                } else {
-                    Value::Double(self.sum)
-                }
-            }
-            "AVG" => {
-                if self.non_null == 0 {
-                    Value::Null
-                } else {
-                    let total = if self.sum_is_int {
-                        self.int_sum as f64
-                    } else {
-                        self.sum
-                    };
-                    Value::Double(total / self.non_null as f64)
-                }
-            }
-            "MIN" => self.min.clone().unwrap_or(Value::Null),
-            "MAX" => self.max.clone().unwrap_or(Value::Null),
-            _ => Value::Null,
-        }
-    }
-}
-
-/// One group of an aggregate SELECT: a representative input row (what
-/// non-aggregate expressions in HAVING, the select list and ORDER BY
-/// read) and one state per call of [`aggregate_calls`].
-#[derive(Debug)]
-pub struct AggGroup {
-    /// Representative input row.
-    pub rep: Vec<Value>,
-    /// Aggregate states, in [`aggregate_calls`] order.
-    pub states: Vec<AggState>,
-}
-
-fn aggregate_pipeline(
-    fns: &FnRegistry,
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    rows: &[Vec<Value>],
-    params: &[Value],
-) -> Result<Projection> {
-    let calls = aggregate_calls(sel);
-    let mut groups: Vec<AggGroup> = Vec::new();
-    let mut group_index: HashMap<Vec<u8>, usize> = HashMap::new();
-    for row in rows {
-        let ctx = EvalContext {
-            schema,
-            row,
-            params,
-            functions: fns,
-        };
-        let key_vals: Vec<Value> = sel
-            .group_by
-            .iter()
-            .map(|e| ctx.eval(e))
-            .collect::<Result<_>>()?;
-        let mut key = Vec::new();
-        encode_row(&key_vals, &mut key);
-        let gi = *group_index.entry(key).or_insert_with(|| {
-            groups.push(AggGroup {
-                rep: row.clone(),
-                states: vec![AggState::default(); calls.len()],
-            });
-            groups.len() - 1
-        });
-        for (st, call) in groups[gi].states.iter_mut().zip(&calls) {
-            let Expr::Function { name, args, star } = call else {
-                unreachable!("collect_aggs only collects functions");
-            };
-            if *star {
-                st.count += 1;
-            } else {
-                st.absorb(name, &ctx.eval(&args[0])?)?;
-            }
-        }
-    }
-    project_groups(fns, sel, schema, &calls, groups, params)
-}
-
-/// HAVING and the select list over finished groups.
-fn project_groups(
-    fns: &FnRegistry,
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    calls: &[Expr],
-    mut groups: Vec<AggGroup>,
-    params: &[Value],
-) -> Result<Projection> {
-    // A global aggregate over zero rows still yields one group.
-    if groups.is_empty() && sel.group_by.is_empty() {
-        groups.push(AggGroup {
-            rep: vec![Value::Null; schema.columns.len()],
-            states: vec![AggState::default(); calls.len()],
-        });
-    }
-    let mut columns = Vec::new();
-    for item in &sel.items {
-        match item {
-            SelectItem::Expr { expr, alias } => {
-                columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-            }
-            _ => {
-                return Err(DbError::Eval(
-                    "wildcard not allowed with GROUP BY / aggregates".into(),
-                ))
-            }
-        }
-    }
-    let mut out_rows = Vec::new();
-    let mut sort_ctx = Vec::new();
-    for g in groups {
-        let mut aggs = HashMap::new();
-        for (st, call) in g.states.iter().zip(calls) {
-            let Expr::Function { name, star, .. } = call else {
-                unreachable!("collect_aggs only collects functions")
-            };
-            aggs.insert(agg_key(call), st.finish(name, *star));
-        }
-        if let Some(h) = &sel.having {
-            let v = eval_with_aggs(fns, h, schema, &g.rep, &aggs, params)?;
-            if truth(&v) != Some(true) {
-                continue;
-            }
-        }
-        let mut out = Vec::with_capacity(sel.items.len());
+        let mut columns = Vec::new();
+        let mut outs = Vec::new();
+        let mut exprs = Vec::new();
         for item in &sel.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                out.push(eval_with_aggs(fns, expr, schema, &g.rep, &aggs, params)?);
+            match item {
+                SelectItem::Wildcard => {
+                    for (i, c) in schema.columns.iter().enumerate() {
+                        columns.push(c.name.clone());
+                        outs.push(Out::Slot(i, spec(i)));
+                    }
+                }
+                SelectItem::QualifiedWildcard(t) => {
+                    let t = t.to_ascii_uppercase();
+                    let mut any = false;
+                    for (i, c) in schema.columns.iter().enumerate() {
+                        if c.table.as_deref() == Some(t.as_str()) {
+                            columns.push(c.name.clone());
+                            outs.push(Out::Slot(i, spec(i)));
+                            any = true;
+                        }
+                    }
+                    if !any {
+                        return Err(DbError::Eval(format!("unknown table alias {t} in {t}.*")));
+                    }
+                }
+                SelectItem::Expr { expr, alias } => {
+                    columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
+                    // Column refs stay slots so DATALINK rendering applies.
+                    match expr {
+                        Expr::Column { table, name } => {
+                            let i = schema.resolve(table.as_deref(), name)?;
+                            outs.push(Out::Slot(i, spec(i)));
+                        }
+                        other => {
+                            outs.push(Out::Expr(exprs.len()));
+                            exprs.push(binder.bind(other));
+                        }
+                    }
+                }
             }
         }
-        out_rows.push(out);
-        sort_ctx.push(SortCtx { row: g.rep, aggs });
+        let keys = order_keys(binder, sel, &columns, &[]);
+        Ok(Project {
+            db,
+            vals: vec![Value::Null; exprs.len()],
+            key_buf: vec![Value::Null; keys.len()],
+            columns,
+            outs,
+            exprs,
+            keys,
+            out: Collector::new(sel),
+        })
     }
-    Ok((columns, out_rows, sort_ctx))
+
+    /// The input slots this stage reads.
+    fn slots(&self) -> Vec<usize> {
+        let mut slots = Vec::new();
+        for o in &self.outs {
+            if let Out::Slot(i, _) = o {
+                slots.push(*i);
+            }
+        }
+        for e in &self.exprs {
+            e.slots(&mut slots);
+        }
+        for k in &self.keys {
+            if let Key::Expr(e) = k {
+                e.slots(&mut slots);
+            }
+        }
+        slot_set(slots)
+    }
+
+    /// Project one row. A select-list error fails at once; an ORDER BY
+    /// key error is held by the collector until every row is projected.
+    fn push(&mut self, row: &[Value]) -> Result<()> {
+        for (v, e) in self.vals.iter_mut().zip(&self.exprs) {
+            *v = e.eval(row, &[])?.into_owned();
+        }
+        let keys = self.fill_keys(row).map(|()| self.key_buf.as_slice());
+        let (db, outs, vals) = (self.db, &self.outs, &mut self.vals);
+        self.out.offer(keys, || {
+            outs.iter()
+                .map(|o| match o {
+                    Out::Slot(i, spec) => output_value(db, &row[*i], spec.as_ref()),
+                    Out::Expr(j) => std::mem::replace(&mut vals[*j], Value::Null),
+                })
+                .collect()
+        });
+        Ok(())
+    }
+
+    /// Evaluate this row's ORDER BY keys into `key_buf`.
+    fn fill_keys(&mut self, row: &[Value]) -> Result<()> {
+        for (slot, key) in self.key_buf.iter_mut().zip(&self.keys) {
+            match key {
+                Key::Out(pos) => match &self.outs[*pos] {
+                    Out::Slot(i, None) => assign(slot, &row[*i]),
+                    Out::Slot(i, spec) => *slot = output_value(self.db, &row[*i], spec.as_ref()),
+                    Out::Expr(j) => assign(slot, &self.vals[*j]),
+                },
+                Key::Expr(e) => match e.eval(row, &[])? {
+                    Cow::Borrowed(v) => assign(slot, v),
+                    Cow::Owned(v) => *slot = v,
+                },
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A slot's output value: DATALINK values of a linked column get their
+/// access token rendered in.
+fn output_value(db: &Database, v: &Value, spec: Option<&DatalinkSpec>) -> Value {
+    match (v, spec) {
+        (Value::Datalink(url), Some(spec)) => Value::Datalink(db.render_datalink(spec, url)),
+        _ => v.clone(),
+    }
+}
+
+/// `*dst = src.clone()`, reusing `dst`'s string buffer when both are
+/// strings.
+fn assign(dst: &mut Value, src: &Value) {
+    match (dst, src) {
+        (Value::Str(d), Value::Str(s)) => {
+            d.clear();
+            d.push_str(s);
+        }
+        (d, s) => *d = s.clone(),
+    }
+}
+
+// ---- DISTINCT, ORDER BY, LIMIT ----
+
+/// Compare two ORDER BY key lists; `asc[i]` orders key `i`.
+fn cmp_keys(asc: &[bool], a: &[Value], b: &[Value]) -> Ordering {
+    for ((x, y), asc) in a.iter().zip(b).zip(asc) {
+        let ord = x.total_cmp(y);
+        let ord = if *asc { ord } else { ord.reverse() };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
+/// An output row in a bounded top-k, ranked by its keys and then by
+/// arrival, so ties keep arrival order exactly as a stable sort does.
+struct Ranked {
+    keys: Vec<Value>,
+    seq: usize,
+    row: Vec<Value>,
+    asc: Rc<[bool]>,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_keys(&self.asc, &self.keys, &other.keys).then(self.seq.cmp(&other.seq))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// Output rows, offered in arrival order with their ORDER BY keys.
+/// DISTINCT drops a repeat on arrival; ORDER BY sorts stably, as a
+/// bounded top-k under LIMIT; LIMIT truncates. An ORDER BY key that
+/// failed to evaluate fails the statement when the collector finishes —
+/// every row has been projected by then — and only if DISTINCT kept
+/// its row.
+struct Collector {
+    seen: Option<HashSet<Vec<u8>>>,
+    /// Ascending flag per ORDER BY key; empty without ORDER BY.
+    asc: Rc<[bool]>,
+    limit: Option<usize>,
+    /// Kept rows and keys, when not a bounded top-k.
+    rows: Vec<(Vec<Value>, Vec<Value>)>,
+    /// The best `limit` rows so far, under ORDER BY + LIMIT.
+    top: BinaryHeap<Ranked>,
+    /// Rows that reached the sort (after DISTINCT).
+    sorted: usize,
+    key_err: Option<DbError>,
+}
+
+impl Collector {
+    fn new(sel: &SelectStmt) -> Collector {
+        Collector {
+            seen: sel.distinct.then(HashSet::new),
+            asc: sel.order_by.iter().map(|ob| ob.asc).collect(),
+            limit: sel.limit,
+            rows: Vec::new(),
+            top: BinaryHeap::new(),
+            sorted: 0,
+            key_err: None,
+        }
+    }
+
+    fn top_k(&self) -> Option<usize> {
+        self.limit.filter(|_| !self.asc.is_empty())
+    }
+
+    /// Whether a row with `keys` could still reach the output. Under
+    /// DISTINCT every row must be built, to be checked for a repeat.
+    fn wants(&self, keys: &[Value]) -> bool {
+        if self.seen.is_some() {
+            return true;
+        }
+        match (self.limit, self.top_k()) {
+            (None, _) => true,
+            (Some(n), None) => self.rows.len() < n,
+            (Some(n), Some(_)) => {
+                self.top.len() < n
+                    || self
+                        .top
+                        .peek()
+                        .is_some_and(|worst| cmp_keys(&self.asc, keys, &worst.keys).is_lt())
+            }
+        }
+    }
+
+    /// Offer one output row: `keys` are its ORDER BY keys (or the error
+    /// evaluating them), `build` makes the row, called only when the
+    /// row might be kept.
+    fn offer(&mut self, keys: Result<&[Value]>, build: impl FnOnce() -> Vec<Value>) {
+        let keys = match keys {
+            Ok(k) if !self.wants(k) => {
+                self.sorted += 1;
+                return;
+            }
+            Err(e) if self.seen.is_none() => {
+                self.sorted += 1;
+                self.key_err.get_or_insert(e);
+                return;
+            }
+            keys => keys,
+        };
+        let row = build();
+        if let Some(seen) = &mut self.seen {
+            let mut buf = Vec::new();
+            encode_row(&row, &mut buf);
+            if !seen.insert(buf) {
+                return;
+            }
+        }
+        self.sorted += 1;
+        let keys = match keys {
+            Ok(k) => k.to_vec(),
+            Err(e) => {
+                self.key_err.get_or_insert(e);
+                return;
+            }
+        };
+        match self.top_k() {
+            Some(n) => {
+                self.top.push(Ranked {
+                    keys,
+                    seq: self.sorted,
+                    row,
+                    asc: self.asc.clone(),
+                });
+                if self.top.len() > n {
+                    self.top.pop();
+                }
+            }
+            None if self.limit.is_none_or(|n| self.rows.len() < n) => {
+                self.rows.push((row, keys));
+            }
+            None => {}
+        }
+    }
+
+    /// The result: a held key error, else the rows in output order.
+    fn finish(self, columns: Vec<String>, metrics: Option<&DbMetrics>) -> Result<ResultSet> {
+        if let Some(e) = self.key_err {
+            return Err(e);
+        }
+        if !self.asc.is_empty() {
+            if let Some(m) = metrics {
+                m.stage_sort.observe(self.sorted as f64);
+            }
+        }
+        let rows = if self.top_k().is_some() {
+            self.top
+                .into_sorted_vec()
+                .into_iter()
+                .map(|r| r.row)
+                .collect()
+        } else {
+            let mut rows = self.rows;
+            if !self.asc.is_empty() {
+                rows.sort_by(|a, b| cmp_keys(&self.asc, &a.1, &b.1));
+            }
+            let mut rows: Vec<Vec<Value>> = rows.into_iter().map(|(r, _)| r).collect();
+            if let Some(n) = self.limit {
+                rows.truncate(n);
+            }
+            rows
+        };
+        if let Some(m) = metrics {
+            m.rows_returned.add(rows.len() as f64);
+        }
+        Ok(ResultSet {
+            columns,
+            rows,
+            affected: 0,
+        })
+    }
 }
 
 /// Finish an aggregate SELECT from groups built elsewhere — HAVING, the
@@ -1059,43 +1081,184 @@ pub fn finish_groups(
     params: &[Value],
 ) -> Result<ResultSet> {
     let calls = aggregate_calls(sel);
-    let projection = project_groups(db.functions(), sel, schema, &calls, groups, params)?;
-    finish_select(db.functions(), None, sel, schema, projection, params)
+    let mut out = Collector::new(sel);
+    let binder = binder(db, schema, params);
+    let (columns, _) = project_groups(&binder, sel, &calls, groups, &mut out)?;
+    out.finish(columns, None)
 }
 
-/// Evaluate an expression, substituting pre-computed aggregate values.
-fn eval_with_aggs(
-    fns: &FnRegistry,
-    e: &Expr,
-    schema: &RowSchema,
-    row: &[Value],
-    aggs: &HashMap<String, Value>,
-    params: &[Value],
-) -> Result<Value> {
-    if let Some(v) = aggs.get(&agg_key(e)) {
-        return Ok(v.clone());
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn select(db: &Database, sql: &str, params: &[Value]) -> Vec<Vec<Value>> {
+        db.query(sql, params)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+            .rows
     }
-    let ctx = EvalContext {
-        schema,
-        row,
-        params,
-        functions: fns,
-    };
-    match e {
-        // Rebuild composite expressions so nested aggregates resolve.
-        Expr::Unary(op, inner) => {
-            let v = eval_with_aggs(fns, inner, schema, row, aggs, params)?;
-            ctx.eval(&Expr::Unary(*op, Box::new(Expr::Literal(v))))
+
+    fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<String> {
+        let mut out: Vec<String> = rows.drain(..).map(|r| format!("{r:?}")).collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn composite_index_probe_matches_a_forced_full_scan() {
+        let mut db = Database::new_in_memory();
+        db.execute("CREATE TABLE T (A INTEGER, B VARCHAR(5), C DOUBLE, D INTEGER)")
+            .unwrap();
+        db.execute("CREATE INDEX IX_ABC ON T (A, B, C)").unwrap();
+        // Duplicated keys, NULLs in every key column, enough rows for a
+        // multi-level tree.
+        for i in 0..400i64 {
+            let a = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 5)
+            };
+            let b = if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Str(["x", "y", "z"][(i % 3) as usize].into())
+            };
+            let c = if i % 13 == 0 {
+                Value::Null
+            } else {
+                Value::Double((i % 4) as f64)
+            };
+            db.execute_with_params(
+                "INSERT INTO T VALUES (?, ?, ?, ?)",
+                &[a, b, c, Value::Int(i)],
+            )
+            .unwrap();
         }
-        Expr::Binary(l, op, r) => {
-            let lv = eval_with_aggs(fns, l, schema, row, aggs, params)?;
-            let rv = eval_with_aggs(fns, r, schema, row, aggs, params)?;
-            ctx.eval(&Expr::Binary(
-                Box::new(Expr::Literal(lv)),
-                *op,
-                Box::new(Expr::Literal(rv)),
-            ))
+        assert!(db.table("T").unwrap().indexes[0].tree.height() >= 2);
+        let probes = [
+            Value::Int(0),
+            Value::Int(3),
+            Value::Int(4),
+            Value::Int(9),
+            // An INTEGER column probed with an equal DOUBLE: SQL
+            // equality holds, so the index must find those rows too.
+            Value::Double(2.0),
+            Value::Double(2.5),
+        ];
+        for probe in probes {
+            let p = std::slice::from_ref(&probe);
+            let t = db.table("T").unwrap();
+            let w = crate::sql::parse("SELECT * FROM T WHERE A = ?").unwrap();
+            let crate::sql::Stmt::Select(sel) = w else {
+                unreachable!()
+            };
+            let path = choose_access_path(&db, t, "T", sel.where_clause.as_ref(), p).unwrap();
+            assert!(
+                matches!(path, AccessPath::IndexEq { index_pos: 0, .. }),
+                "{path:?}"
+            );
+            // The probe's candidates are exactly the rows whose leading
+            // key equals the probe — nothing more is walked.
+            let view = db.read_view();
+            let got: Vec<RowId> = candidates(&db, &view, t, "T", &path)
+                .map(|(rid, _)| rid)
+                .collect();
+            let mut want: Vec<RowId> = candidates(&db, &view, t, "T", &AccessPath::FullScan)
+                .filter(|(_, rec)| {
+                    decode_row(rec, &mut 0).unwrap()[0]
+                        .total_cmp(&probe)
+                        .is_eq()
+                })
+                .map(|(rid, _)| rid)
+                .collect();
+            let mut got_sorted = got.clone();
+            got_sorted.sort();
+            want.sort();
+            assert_eq!(got_sorted, want, "{probe:?}");
+            for (sql, forced) in [
+                (
+                    "SELECT * FROM T WHERE A = ?",
+                    "SELECT * FROM T WHERE A = ? OR 1 = 0",
+                ),
+                (
+                    "SELECT D FROM T WHERE A = ? AND B = 'y'",
+                    "SELECT D FROM T WHERE (A = ? OR 1 = 0) AND B = 'y'",
+                ),
+                (
+                    "SELECT COUNT(*), SUM(D) FROM T WHERE A = ? AND C IS NULL",
+                    "SELECT COUNT(*), SUM(D) FROM T WHERE (A = ? OR 1 = 0) AND C IS NULL",
+                ),
+            ] {
+                assert_eq!(
+                    sorted(select(&db, sql, p)),
+                    sorted(select(&db, forced, p)),
+                    "{sql} with {probe:?}"
+                );
+            }
         }
-        other => ctx.eval(other),
+    }
+
+    #[test]
+    fn top_k_keeps_the_stable_sort_tie_order() {
+        let mut db = Database::new_in_memory();
+        db.execute("CREATE TABLE T (K INTEGER, G INTEGER, S VARCHAR(5))")
+            .unwrap();
+        for i in 0..300i64 {
+            let g = if i % 17 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 4)
+            };
+            db.execute_with_params(
+                "INSERT INTO T VALUES (?, ?, ?)",
+                &[Value::Int(i), g, Value::Str(format!("s{}", i % 3))],
+            )
+            .unwrap();
+        }
+        for order in ["G", "G DESC", "S DESC, G", "G, S"] {
+            let full = select(&db, &format!("SELECT K, G, S FROM T ORDER BY {order}"), &[]);
+            for limit in [0, 1, 5, 37, 299, 300, 1000] {
+                let top = select(
+                    &db,
+                    &format!("SELECT K, G, S FROM T ORDER BY {order} LIMIT {limit}"),
+                    &[],
+                );
+                assert_eq!(top, full[..limit.min(full.len())], "{order} LIMIT {limit}");
+            }
+        }
+    }
+
+    #[test]
+    fn counters_match_the_staged_pipeline() {
+        let registry = easia_obs::Registry::new();
+        let mut db = Database::new_in_memory();
+        db.attach_metrics(&registry);
+        db.execute("CREATE TABLE T (A INTEGER, B VARCHAR(5))")
+            .unwrap();
+        for i in 0..20i64 {
+            db.execute_with_params(
+                "INSERT INTO T VALUES (?, ?)",
+                &[Value::Int(i % 4), Value::Str(format!("b{i}"))],
+            )
+            .unwrap();
+        }
+        let m = db.metrics().unwrap();
+        let before = (
+            m.rows_scanned.get(),
+            m.rows_returned.get(),
+            m.heap_scans.get(),
+        );
+        // A WHERE error after a select-list error still scans every row.
+        assert!(db
+            .query("SELECT A + NOPE FROM T WHERE A < 3 OR ZAP = 1", &[])
+            .is_err());
+        // Top-k returns LIMIT rows; the scan still counts every row.
+        let rs = db
+            .query("SELECT B FROM T WHERE A <> 1 ORDER BY B DESC LIMIT 3", &[])
+            .unwrap();
+        assert_eq!(rs.rows.len(), 3);
+        let m = db.metrics().unwrap();
+        assert_eq!(m.rows_scanned.get() - before.0, 40.0);
+        assert_eq!(m.rows_returned.get() - before.1, 3.0);
+        assert_eq!(m.heap_scans.get() - before.2, 2.0);
     }
 }

@@ -3,6 +3,7 @@
 use crate::error::{DbError, Result};
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -47,33 +48,42 @@ impl RowSchema {
     /// Resolve a column reference to a slot index.
     ///
     /// Unqualified names must be unambiguous across the schema; qualified
-    /// names match on both alias and column.
+    /// names match on both alias and column. Names compare against the
+    /// slots' upper-case names, so the probe is matched case-blind.
     pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
-        let name = name.to_ascii_uppercase();
-        let table = table.map(|t| t.to_ascii_uppercase());
         let mut hit = None;
         for (i, c) in self.columns.iter().enumerate() {
-            if c.name != name {
+            if !upper_eq(&c.name, name) {
                 continue;
             }
-            if let Some(t) = &table {
-                if c.table.as_deref() != Some(t.as_str()) {
+            if let Some(t) = table {
+                if !c.table.as_deref().is_some_and(|ct| upper_eq(ct, t)) {
                     continue;
                 }
             }
             if hit.is_some() {
+                let name = name.to_ascii_uppercase();
                 return Err(DbError::Eval(format!("ambiguous column reference {name}")));
             }
             hit = Some(i);
         }
         hit.ok_or_else(|| {
-            let full = match &table {
+            let full = match table {
                 Some(t) => format!("{t}.{name}"),
-                None => name.clone(),
+                None => name.to_string(),
             };
-            DbError::Eval(format!("unknown column {full}"))
+            DbError::Eval(format!("unknown column {}", full.to_ascii_uppercase()))
         })
     }
+}
+
+/// `stored == probe.to_ascii_uppercase()`, without allocating.
+fn upper_eq(stored: &str, probe: &str) -> bool {
+    stored.len() == probe.len()
+        && stored
+            .bytes()
+            .zip(probe.bytes())
+            .all(|(s, p)| s == p.to_ascii_uppercase())
 }
 
 /// A scalar function implementation.
@@ -202,64 +212,236 @@ fn string_fn(v: &Value, f: impl Fn(&str) -> String) -> Result<Value> {
     })
 }
 
-/// Everything needed to evaluate an expression against one row.
-pub struct EvalContext<'a> {
-    /// Shape of `row`.
+/// Binds expressions to one row shape, once per statement: column
+/// references become slot indices, parameters become their values, and
+/// functions are looked up. A reference that cannot be bound — an
+/// unknown or ambiguous column, a missing parameter, an unknown function
+/// — binds to its error, raised only if evaluation reaches it. So a
+/// statement that fails only when a row is evaluated still answers an
+/// empty table, and the first error raised is the one row-at-a-time
+/// evaluation of the unbound tree would raise.
+pub struct Binder<'a> {
+    /// Shape of the rows bound expressions read.
     pub schema: &'a RowSchema,
-    /// The current row.
-    pub row: &'a [Value],
     /// Positional parameter values (1-based indices into this slice + 1).
     pub params: &'a [Value],
     /// Scalar functions.
     pub functions: &'a FnRegistry,
 }
 
-impl EvalContext<'_> {
-    /// Evaluate `expr` to a value.
-    pub fn eval(&self, expr: &Expr) -> Result<Value> {
-        match expr {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(n) => self
-                .params
-                .get(*n - 1)
-                .cloned()
-                .ok_or_else(|| DbError::Eval(format!("missing parameter ?{n}"))),
-            Expr::Column { table, name } => {
-                let idx = self.schema.resolve(table.as_deref(), name)?;
-                Ok(self.row[idx].clone())
+impl Binder<'_> {
+    /// Bind `expr` for plain row evaluation (WHERE, ON, GROUP BY,
+    /// aggregate arguments and the select list of a non-aggregate query).
+    pub fn bind(&self, expr: &Expr) -> Bound {
+        self.bind_in(expr, None)
+    }
+
+    /// Bind `expr` for evaluation over an aggregate group: each call in
+    /// `calls` reached through unary and binary operators reads the
+    /// group's finished value ([`Bound::eval`]'s `aggs[i]` for
+    /// `calls[i]`), and AND/OR evaluate both sides before combining
+    /// them. Under any other node an aggregate call is an ordinary
+    /// function call (and so an unknown function). ORDER BY keys always
+    /// bind this way, with no calls outside an aggregate query.
+    pub fn bind_with_aggs(&self, expr: &Expr, calls: &[Expr]) -> Bound {
+        self.bind_in(expr, Some(calls))
+    }
+
+    fn bind_in(&self, expr: &Expr, calls: Option<&[Expr]>) -> Bound {
+        let sub = |e: &Expr| Box::new(self.bind_in(e, calls));
+        match (expr, calls) {
+            (Expr::Function { .. }, Some(calls)) => {
+                if let Some(i) = calls.iter().position(|c| same_call(c, expr)) {
+                    return Bound::Agg(i);
+                }
+                self.bind(expr)
             }
-            Expr::Unary(op, e) => {
-                let v = self.eval(e)?;
-                match op {
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Double(d) => Ok(Value::Double(-d)),
-                        other => Err(DbError::Eval(format!(
-                            "cannot negate {}",
-                            other.type_name()
-                        ))),
-                    },
-                    UnaryOp::Not => Ok(match truth(&v) {
-                        Some(b) => Value::Bool(!b),
-                        None => Value::Null,
-                    }),
+            (Expr::Unary(op, e), _) => Bound::Unary(*op, sub(e)),
+            (Expr::Binary(l, op, r), _) => Bound::Binary {
+                l: sub(l),
+                op: *op,
+                r: sub(r),
+                short_circuit: calls.is_none(),
+            },
+            (_, Some(_)) => self.bind(expr),
+            (Expr::Literal(v), None) => Bound::Const(v.clone()),
+            (Expr::Param(n), None) => match n.checked_sub(1).and_then(|i| self.params.get(i)) {
+                Some(v) => Bound::Const(v.clone()),
+                None => Bound::Fail(DbError::Eval(format!("missing parameter ?{n}"))),
+            },
+            (Expr::Column { table, name }, None) => {
+                match self.schema.resolve(table.as_deref(), name) {
+                    Ok(i) => Bound::Slot(i),
+                    Err(e) => Bound::Fail(e),
                 }
             }
-            Expr::Binary(l, op, r) => self.eval_binary(l, *op, r),
-            Expr::IsNull { expr, negated } => {
-                let v = self.eval(expr)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+            (Expr::IsNull { expr, negated }, None) => Bound::IsNull(sub(expr), *negated),
+            (
+                Expr::Like {
+                    expr,
+                    pattern,
+                    negated,
+                },
+                None,
+            ) => Bound::Like {
+                expr: sub(expr),
+                pattern: sub(pattern),
+                negated: *negated,
+            },
+            (
+                Expr::InList {
+                    expr,
+                    list,
+                    negated,
+                },
+                None,
+            ) => Bound::InList {
+                expr: sub(expr),
+                list: list.iter().map(|e| self.bind(e)).collect(),
+                negated: *negated,
+            },
+            (
+                Expr::Between {
+                    expr,
+                    lo,
+                    hi,
+                    negated,
+                },
+                None,
+            ) => Bound::Between {
+                expr: sub(expr),
+                lo: sub(lo),
+                hi: sub(hi),
+                negated: *negated,
+            },
+            (Expr::Function { name, args, star }, None) => {
+                if *star {
+                    return Bound::Fail(DbError::Eval(format!(
+                        "{name}(*) is only valid as an aggregate"
+                    )));
+                }
+                match self.functions.get(name) {
+                    Some(f) => Bound::Call(f.clone(), args.iter().map(|a| self.bind(a)).collect()),
+                    None => Bound::Fail(DbError::Eval(format!("unknown function {name}"))),
+                }
             }
-            Expr::Like {
+        }
+    }
+}
+
+/// Whether `a` and `b` are the same aggregate call site — compared by
+/// rendered form, as the executor deduplicates calls.
+fn same_call(a: &Expr, b: &Expr) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
+/// An expression bound by a [`Binder`]: evaluates against a row by
+/// reference, reading slots by index.
+#[derive(Clone)]
+pub enum Bound {
+    /// A literal or parameter value.
+    Const(Value),
+    /// The row's value at a slot.
+    Slot(usize),
+    /// A finished aggregate value (see [`Binder::bind_with_aggs`]).
+    Agg(usize),
+    /// A reference that failed to bind; evaluating it raises the error.
+    Fail(DbError),
+    /// Unary operator.
+    Unary(UnaryOp, Box<Bound>),
+    /// Binary operator; `short_circuit` lets AND/OR skip their right
+    /// side once the left decides.
+    Binary {
+        /// Left operand.
+        l: Box<Bound>,
+        /// Operator.
+        op: BinaryOp,
+        /// Right operand.
+        r: Box<Bound>,
+        /// Whether AND/OR may skip the right operand.
+        short_circuit: bool,
+    },
+    /// `IS [NOT] NULL`.
+    IsNull(Box<Bound>, bool),
+    /// `[NOT] LIKE`.
+    Like {
+        /// String operand.
+        expr: Box<Bound>,
+        /// Pattern operand.
+        pattern: Box<Bound>,
+        /// True for `NOT LIKE`.
+        negated: bool,
+    },
+    /// `[NOT] IN (...)`.
+    InList {
+        /// Probe operand.
+        expr: Box<Bound>,
+        /// Candidate list.
+        list: Vec<Bound>,
+        /// True for `NOT IN`.
+        negated: bool,
+    },
+    /// `[NOT] BETWEEN lo AND hi`.
+    Between {
+        /// Probe operand.
+        expr: Box<Bound>,
+        /// Lower bound.
+        lo: Box<Bound>,
+        /// Upper bound.
+        hi: Box<Bound>,
+        /// True for `NOT BETWEEN`.
+        negated: bool,
+    },
+    /// A scalar function call.
+    Call(ScalarFn, Vec<Bound>),
+}
+
+impl Bound {
+    /// Evaluate against `row` (and, for [`Bound::Agg`], the finished
+    /// aggregate values `aggs`). Slots and constants come back borrowed;
+    /// only computed values are allocated.
+    pub fn eval<'a>(&'a self, row: &'a [Value], aggs: &'a [Value]) -> Result<Cow<'a, Value>> {
+        let v = match self {
+            Bound::Const(v) => return Ok(Cow::Borrowed(v)),
+            Bound::Slot(i) => return Ok(Cow::Borrowed(&row[*i])),
+            Bound::Agg(i) => return Ok(Cow::Borrowed(&aggs[*i])),
+            Bound::Fail(e) => return Err(e.clone()),
+            Bound::Unary(op, e) => {
+                let v = e.eval(row, aggs)?;
+                match op {
+                    UnaryOp::Neg => match v.as_ref() {
+                        Value::Null => Value::Null,
+                        Value::Int(i) => Value::Int(-i),
+                        Value::Double(d) => Value::Double(-d),
+                        other => {
+                            return Err(DbError::Eval(format!(
+                                "cannot negate {}",
+                                other.type_name()
+                            )))
+                        }
+                    },
+                    UnaryOp::Not => match truth(&v) {
+                        Some(b) => Value::Bool(!b),
+                        None => Value::Null,
+                    },
+                }
+            }
+            Bound::Binary {
+                l,
+                op,
+                r,
+                short_circuit,
+            } => return eval_binary(l, *op, r, *short_circuit, row, aggs).map(Cow::Owned),
+            Bound::IsNull(e, negated) => Value::Bool(e.eval(row, aggs)?.is_null() != *negated),
+            Bound::Like {
                 expr,
                 pattern,
                 negated,
             } => {
-                let v = self.eval(expr)?;
-                let p = self.eval(pattern)?;
+                let v = expr.eval(row, aggs)?;
+                let p = pattern.eval(row, aggs)?;
                 if v.is_null() || p.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let s = v
                     .as_text()
@@ -267,144 +449,179 @@ impl EvalContext<'_> {
                 let pat = p
                     .as_text()
                     .ok_or_else(|| DbError::Eval("LIKE pattern must be a string".into()))?;
-                Ok(Value::Bool(like_match(s, pat) != *negated))
+                Value::Bool(like_match(s, pat) != *negated)
             }
-            Expr::InList {
+            Bound::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let v = self.eval(expr)?;
+                let v = expr.eval(row, aggs)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let w = self.eval(item)?;
+                    let w = item.eval(row, aggs)?;
                     if w.is_null() {
                         saw_null = true;
                         continue;
                     }
                     if v.sql_cmp(&w) == Some(Ordering::Equal) {
-                        return Ok(Value::Bool(!negated));
+                        return Ok(Cow::Owned(Value::Bool(!negated)));
                     }
                 }
                 if saw_null {
                     // x IN (..., NULL) is UNKNOWN when no match was found.
-                    Ok(Value::Null)
+                    Value::Null
                 } else {
-                    Ok(Value::Bool(*negated))
+                    Value::Bool(*negated)
                 }
             }
-            Expr::Between {
+            Bound::Between {
                 expr,
                 lo,
                 hi,
                 negated,
             } => {
-                let v = self.eval(expr)?;
-                let lo = self.eval(lo)?;
-                let hi = self.eval(hi)?;
+                let v = expr.eval(row, aggs)?;
+                let lo = lo.eval(row, aggs)?;
+                let hi = hi.eval(row, aggs)?;
                 let ge = match v.sql_cmp(&lo) {
                     Some(o) => o != Ordering::Less,
-                    None => return Ok(Value::Null),
+                    None => return Ok(Cow::Owned(Value::Null)),
                 };
                 let le = match v.sql_cmp(&hi) {
                     Some(o) => o != Ordering::Greater,
-                    None => return Ok(Value::Null),
+                    None => return Ok(Cow::Owned(Value::Null)),
                 };
-                Ok(Value::Bool((ge && le) != *negated))
+                Value::Bool((ge && le) != *negated)
             }
-            Expr::Function { name, args, star } => {
-                if *star {
-                    return Err(DbError::Eval(format!(
-                        "{name}(*) is only valid as an aggregate"
-                    )));
-                }
-                let f = self
-                    .functions
-                    .get(name)
-                    .ok_or_else(|| DbError::Eval(format!("unknown function {name}")))?
-                    .clone();
-                let vals: Vec<Value> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
-                f(&vals)
+            Bound::Call(f, args) => {
+                let vals: Vec<Value> = args
+                    .iter()
+                    .map(|a| a.eval(row, aggs).map(Cow::into_owned))
+                    .collect::<Result<_>>()?;
+                f(&vals)?
             }
-        }
+        };
+        Ok(Cow::Owned(v))
     }
 
-    fn eval_binary(&self, l: &Expr, op: BinaryOp, r: &Expr) -> Result<Value> {
-        // Logical operators get SQL 3VL short-circuit treatment.
-        if op == BinaryOp::And {
-            let lv = truth(&self.eval(l)?);
-            if lv == Some(false) {
-                return Ok(Value::Bool(false));
+    /// SQL truth of the value against `row`: `Some(bool)`, or `None` for
+    /// UNKNOWN.
+    pub fn truth(&self, row: &[Value]) -> Result<Option<bool>> {
+        Ok(truth(&*self.eval(row, &[])?))
+    }
+
+    /// Append every slot this expression reads to `out`.
+    pub fn slots(&self, out: &mut Vec<usize>) {
+        let mut walk = |b: &Bound| b.slots(out);
+        match self {
+            Bound::Slot(i) => out.push(*i),
+            Bound::Const(_) | Bound::Agg(_) | Bound::Fail(_) => {}
+            Bound::Unary(_, e) | Bound::IsNull(e, _) => walk(e),
+            Bound::Binary { l, r, .. } => {
+                walk(l);
+                walk(r);
             }
-            let rv = truth(&self.eval(r)?);
-            return Ok(match (lv, rv) {
-                (_, Some(false)) => Value::Bool(false),
-                (Some(true), Some(true)) => Value::Bool(true),
-                _ => Value::Null,
-            });
-        }
-        if op == BinaryOp::Or {
-            let lv = truth(&self.eval(l)?);
-            if lv == Some(true) {
-                return Ok(Value::Bool(true));
+            Bound::Like { expr, pattern, .. } => {
+                walk(expr);
+                walk(pattern);
             }
-            let rv = truth(&self.eval(r)?);
-            return Ok(match (lv, rv) {
-                (_, Some(true)) => Value::Bool(true),
-                (Some(false), Some(false)) => Value::Bool(false),
-                _ => Value::Null,
-            });
+            Bound::InList { expr, list, .. } => {
+                walk(expr);
+                list.iter().for_each(walk);
+            }
+            Bound::Between { expr, lo, hi, .. } => {
+                walk(expr);
+                walk(lo);
+                walk(hi);
+            }
+            Bound::Call(_, args) => args.iter().for_each(walk),
         }
-        let lv = self.eval(l)?;
-        let rv = self.eval(r)?;
-        match op {
-            BinaryOp::Eq
-            | BinaryOp::NotEq
-            | BinaryOp::Lt
-            | BinaryOp::LtEq
-            | BinaryOp::Gt
-            | BinaryOp::GtEq => {
-                let ord = match lv.sql_cmp(&rv) {
-                    Some(o) => o,
-                    None => {
-                        if lv.is_null() || rv.is_null() {
-                            return Ok(Value::Null);
-                        }
-                        return Err(DbError::Type(format!(
-                            "cannot compare {} with {}",
-                            lv.type_name(),
-                            rv.type_name()
-                        )));
+    }
+}
+
+fn eval_binary(
+    l: &Bound,
+    op: BinaryOp,
+    r: &Bound,
+    short_circuit: bool,
+    row: &[Value],
+    aggs: &[Value],
+) -> Result<Value> {
+    // Logical operators get SQL 3VL treatment.
+    if op == BinaryOp::And {
+        let lv = truth(&*l.eval(row, aggs)?);
+        if short_circuit && lv == Some(false) {
+            return Ok(Value::Bool(false));
+        }
+        let rv = truth(&*r.eval(row, aggs)?);
+        return Ok(match (lv, rv) {
+            (Some(false), _) | (_, Some(false)) => Value::Bool(false),
+            (Some(true), Some(true)) => Value::Bool(true),
+            _ => Value::Null,
+        });
+    }
+    if op == BinaryOp::Or {
+        let lv = truth(&*l.eval(row, aggs)?);
+        if short_circuit && lv == Some(true) {
+            return Ok(Value::Bool(true));
+        }
+        let rv = truth(&*r.eval(row, aggs)?);
+        return Ok(match (lv, rv) {
+            (Some(true), _) | (_, Some(true)) => Value::Bool(true),
+            (Some(false), Some(false)) => Value::Bool(false),
+            _ => Value::Null,
+        });
+    }
+    let lv = l.eval(row, aggs)?;
+    let rv = r.eval(row, aggs)?;
+    match op {
+        BinaryOp::Eq
+        | BinaryOp::NotEq
+        | BinaryOp::Lt
+        | BinaryOp::LtEq
+        | BinaryOp::Gt
+        | BinaryOp::GtEq => {
+            let ord = match lv.sql_cmp(&rv) {
+                Some(o) => o,
+                None => {
+                    if lv.is_null() || rv.is_null() {
+                        return Ok(Value::Null);
                     }
-                };
-                let b = match op {
-                    BinaryOp::Eq => ord == Ordering::Equal,
-                    BinaryOp::NotEq => ord != Ordering::Equal,
-                    BinaryOp::Lt => ord == Ordering::Less,
-                    BinaryOp::LtEq => ord != Ordering::Greater,
-                    BinaryOp::Gt => ord == Ordering::Greater,
-                    BinaryOp::GtEq => ord != Ordering::Less,
-                    _ => unreachable!(),
-                };
-                Ok(Value::Bool(b))
-            }
-            BinaryOp::Concat => {
-                if lv.is_null() || rv.is_null() {
-                    return Ok(Value::Null);
+                    return Err(DbError::Type(format!(
+                        "cannot compare {} with {}",
+                        lv.type_name(),
+                        rv.type_name()
+                    )));
                 }
-                Ok(Value::Str(format!("{lv}{rv}")))
-            }
-            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
-                if lv.is_null() || rv.is_null() {
-                    return Ok(Value::Null);
-                }
-                arith(&lv, op, &rv)
-            }
-            BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
+            };
+            let b = match op {
+                BinaryOp::Eq => ord == Ordering::Equal,
+                BinaryOp::NotEq => ord != Ordering::Equal,
+                BinaryOp::Lt => ord == Ordering::Less,
+                BinaryOp::LtEq => ord != Ordering::Greater,
+                BinaryOp::Gt => ord == Ordering::Greater,
+                BinaryOp::GtEq => ord != Ordering::Less,
+                _ => unreachable!(),
+            };
+            Ok(Value::Bool(b))
         }
+        BinaryOp::Concat => {
+            if lv.is_null() || rv.is_null() {
+                return Ok(Value::Null);
+            }
+            Ok(Value::Str(format!("{lv}{rv}")))
+        }
+        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
+            if lv.is_null() || rv.is_null() {
+                return Ok(Value::Null);
+            }
+            arith(&lv, op, &rv)
+        }
+        BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
     }
 }
 
@@ -474,21 +691,38 @@ pub fn truth(v: &Value) -> Option<bool> {
 /// SQL LIKE matching: `%` matches any run (including empty), `_` matches
 /// exactly one character. Matching is case-sensitive, per the standard.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
-            Some('%') => {
-                // Collapse consecutive % and try all split points.
-                let rest = &p[1..];
-                (0..=s.len()).any(|k| rec(&s[k..], rest))
-            }
-            Some('_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(&c) => s.first() == Some(&c) && rec(&s[1..], &p[1..]),
-        }
+    if s.is_ascii() && pattern.is_ascii() {
+        // One byte per character: match the bytes, allocating nothing.
+        return wildcard_match(s.as_bytes(), pattern.as_bytes(), b'%', b'_');
     }
     let sc: Vec<char> = s.chars().collect();
     let pc: Vec<char> = pattern.chars().collect();
-    rec(&sc, &pc)
+    wildcard_match(&sc, &pc, '%', '_')
+}
+
+/// Greedy wildcard matching with backtracking to the last `any`: each
+/// `any` re-anchors the match, so the walk is O(|s|·|p|) at worst.
+fn wildcard_match<T: PartialEq>(s: &[T], p: &[T], any: T, one: T) -> bool {
+    let (mut si, mut pi) = (0, 0);
+    // Position after the last `any` seen, and where in `s` it resumes.
+    let mut star: Option<(usize, usize)> = None;
+    while si < s.len() {
+        if pi < p.len() && p[pi] == any {
+            pi += 1;
+            star = Some((pi, si));
+        } else if pi < p.len() && (p[pi] == one || p[pi] == s[si]) {
+            pi += 1;
+            si += 1;
+        } else if let Some((sp, ss)) = star {
+            // Let the last `any` swallow one more character.
+            pi = sp;
+            si = ss + 1;
+            star = Some((sp, ss + 1));
+        } else {
+            return false;
+        }
+    }
+    p[pi..].iter().all(|c| *c == any)
 }
 
 #[cfg(test)]
@@ -510,13 +744,12 @@ mod tests {
         };
         let schema = RowSchema::default();
         let fns = FnRegistry::with_builtins();
-        let ctx = EvalContext {
+        let binder = Binder {
             schema: &schema,
-            row: &[],
             params: &[],
             functions: &fns,
         };
-        ctx.eval(&expr)
+        binder.bind(&expr).eval(&[], &[]).map(Cow::into_owned)
     }
 
     #[test]
@@ -667,9 +900,8 @@ mod tests {
         let fns = FnRegistry::with_builtins();
         let row = vec![Value::Int(10), Value::Str("x".into())];
         let params = vec![Value::Int(10)];
-        let ctx = EvalContext {
+        let binder = Binder {
             schema: &schema,
-            row: &row,
             params: &params,
             functions: &fns,
         };
@@ -681,7 +913,94 @@ mod tests {
             BinaryOp::Eq,
             Box::new(E::Param(1)),
         );
-        assert_eq!(ctx.eval(&e).unwrap(), Value::Bool(true));
-        assert!(ctx.eval(&E::Param(2)).is_err(), "missing param");
+        let bound = binder.bind(&e);
+        assert_eq!(bound.eval(&row, &[]).unwrap().as_ref(), &Value::Bool(true));
+        let mut slots = Vec::new();
+        bound.slots(&mut slots);
+        assert_eq!(slots, vec![0]);
+        assert!(
+            binder.bind(&E::Param(2)).eval(&row, &[]).is_err(),
+            "missing param"
+        );
+        // A column slot evaluates by reference.
+        let b = binder.bind(&E::Column {
+            table: Some("t".into()),
+            name: "b".into(),
+        });
+        assert!(matches!(b.eval(&row, &[]).unwrap(), Cow::Borrowed(Value::Str(s)) if s == "x"));
+    }
+
+    #[test]
+    fn unbindable_references_fail_only_when_evaluated() {
+        let schema = RowSchema::for_table("T", &["A".into()]);
+        let fns = FnRegistry::with_builtins();
+        let binder = Binder {
+            schema: &schema,
+            params: &[],
+            functions: &fns,
+        };
+        let stmt = parse("SELECT * FROM T WHERE A = 1 AND NOPE(Z) = ?").unwrap();
+        let Stmt::Select(sel) = stmt else { panic!() };
+        let bound = binder.bind(sel.where_clause.as_ref().unwrap());
+        let row = [Value::Int(2)];
+        assert_eq!(bound.truth(&row).unwrap(), Some(false), "short-circuits");
+        let row = [Value::Int(1)];
+        assert_eq!(
+            bound.truth(&row).unwrap_err(),
+            DbError::Eval("unknown function NOPE".into())
+        );
+    }
+
+    #[test]
+    fn aggregate_binding_substitutes_calls_and_evaluates_both_sides() {
+        let schema = RowSchema::for_table("T", &["A".into()]);
+        let fns = FnRegistry::with_builtins();
+        let binder = Binder {
+            schema: &schema,
+            params: &[],
+            functions: &fns,
+        };
+        let stmt = parse("SELECT SUM(A) + 1, 1 = 0 AND Z = 1, COALESCE(SUM(A), 0) FROM T").unwrap();
+        let Stmt::Select(sel) = stmt else { panic!() };
+        let items: Vec<&Expr> = sel
+            .items
+            .iter()
+            .map(|i| match i {
+                SelectItem::Expr { expr, .. } => expr,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let Expr::Binary(call, ..) = items[0] else {
+            panic!()
+        };
+        let calls = vec![(**call).clone()];
+        let aggs = [Value::Int(41)];
+        let row = [Value::Null];
+        let sum = binder.bind_with_aggs(items[0], &calls);
+        assert_eq!(sum.eval(&row, &aggs).unwrap().as_ref(), &Value::Int(42));
+        let strict = binder.bind_with_aggs(items[1], &calls);
+        assert_eq!(
+            strict.eval(&row, &aggs).unwrap_err(),
+            DbError::Eval("unknown column Z".into())
+        );
+        let nested = binder.bind_with_aggs(items[2], &calls);
+        assert_eq!(
+            nested.eval(&row, &aggs).unwrap_err(),
+            DbError::Eval("unknown function SUM".into())
+        );
+    }
+
+    #[test]
+    fn like_matches_non_ascii_by_character() {
+        assert!(like_match("héllo", "h_llo"));
+        assert!(like_match("héllo", "%é%"));
+        assert!(!like_match("héllo", "h_lo"));
+        assert!(like_match("ab", "%%%"));
+        assert!(!like_match("a", "a_%"));
+        assert!(like_match("abcabd", "%abd"));
+        assert!(like_match(
+            "aaaaaaaaaaaaaaaaaaaaaaaaaaaaab",
+            "%a%a%a%a%a%a%b"
+        ));
     }
 }

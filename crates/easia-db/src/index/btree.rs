@@ -283,6 +283,50 @@ impl BPlusTree {
         }
     }
 
+    /// The rows of every entry whose leading key columns equal `prefix`
+    /// (by [`Value::total_cmp`]), in key order — the answer to an
+    /// equality on a composite index's leading columns. The walk starts
+    /// at the first key not below `prefix` and stops at the first key
+    /// past it, so it reads only the matching entries and the tree path
+    /// to them.
+    pub fn prefix_rows(&self, prefix: &[Value]) -> Vec<RowId> {
+        let mut out = Vec::new();
+        Self::prefix_rec(&self.root, prefix, &mut out);
+        out
+    }
+
+    /// Walk `node` for [`BPlusTree::prefix_rows`]; false once a key past
+    /// the prefix was seen (the walk is over).
+    fn prefix_rec(node: &Node, prefix: &[Value], out: &mut Vec<RowId>) -> bool {
+        match node {
+            Node::Leaf(leaf) => {
+                let start = leaf
+                    .entries
+                    .partition_point(|(k, _)| key_cmp(k, prefix) == Ordering::Less);
+                for (k, rows) in &leaf.entries[start..] {
+                    let matches = k.len() >= prefix.len()
+                        && k.iter().zip(prefix).all(|(a, b)| a.total_cmp(b).is_eq());
+                    if !matches {
+                        return false;
+                    }
+                    out.extend_from_slice(rows);
+                }
+                true
+            }
+            Node::Internal(int) => {
+                // As in `range_rec`: children before `start` hold only
+                // keys below the prefix.
+                let start = match int.keys.binary_search_by(|k| key_cmp(k, prefix)) {
+                    Ok(i) => i + 1,
+                    Err(i) => i,
+                };
+                int.children[start..]
+                    .iter()
+                    .all(|child| Self::prefix_rec(child, prefix, out))
+            }
+        }
+    }
+
     /// All entries in key order (full index scan).
     pub fn iter_all(&self) -> Vec<(Key, Vec<RowId>)> {
         self.range(None, None)
@@ -405,6 +449,42 @@ mod tests {
             all.iter().map(|(_, r)| r[0]).collect::<Vec<_>>(),
             vec![rid(2), rid(1), rid(3)]
         );
+    }
+
+    #[test]
+    fn prefix_rows_walk_only_the_matching_entries() {
+        let mut t = BPlusTree::new();
+        let mut n = 0;
+        for a in [Value::Null, Value::Int(1), Value::Int(2), Value::Int(3)] {
+            for b in 0..60i64 {
+                let b = if b % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(b % 9)
+                };
+                t.insert(vec![a.clone(), b], rid(n));
+                n += 1;
+            }
+        }
+        assert!(t.height() >= 2);
+        for probe in [
+            Value::Null,
+            Value::Int(2),
+            Value::Double(2.0),
+            Value::Int(9),
+        ] {
+            let mut want: Vec<RowId> = t
+                .iter_all()
+                .into_iter()
+                .filter(|(k, _)| k[0].total_cmp(&probe).is_eq())
+                .flat_map(|(_, rows)| rows)
+                .collect();
+            let got = t.prefix_rows(std::slice::from_ref(&probe));
+            assert_eq!(got, want, "{probe:?}: key order");
+            want.sort();
+            assert_eq!(want.len(), if probe == Value::Int(9) { 0 } else { 60 });
+        }
+        assert_eq!(t.prefix_rows(&[]).len(), t.len(), "empty prefix: all");
     }
 
     #[test]

@@ -76,6 +76,30 @@ impl ReadView {
     }
 }
 
+/// One table's row visibility under one read view (see
+/// [`MvccState::table_visibility`]). When the table has no version
+/// entries — the steady single-session state — every row is visible
+/// without a map probe.
+#[derive(Debug, Clone, Copy)]
+pub struct TableVisibility<'a> {
+    state: &'a MvccState,
+    versions: Option<&'a BTreeMap<RowId, RowVersion>>,
+    view: ReadView,
+}
+
+impl TableVisibility<'_> {
+    /// Is the row at `rid` visible?
+    pub fn visible(&self, rid: RowId) -> bool {
+        match self.versions.and_then(|m| m.get(&rid)) {
+            None => true,
+            Some(v) => {
+                self.state.sees(&self.view, v.xmin)
+                    && !v.xmax.is_some_and(|x| self.state.sees(&self.view, x))
+            }
+        }
+    }
+}
+
 /// Handle for an open read-only snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SnapshotId(pub u64);
@@ -232,9 +256,16 @@ impl MvccState {
     /// Is the row at (`table`, `rid`) visible to `view`? Rows without a
     /// version entry are frozen: visible to everyone.
     pub fn visible(&self, table: &str, rid: RowId, view: &ReadView) -> bool {
-        match self.versions.get(table).and_then(|m| m.get(&rid)) {
-            None => true,
-            Some(v) => self.sees(view, v.xmin) && !v.xmax.is_some_and(|x| self.sees(view, x)),
+        self.table_visibility(table, view).visible(rid)
+    }
+
+    /// Visibility of `table`'s rows to `view`, with the table's version
+    /// map looked up once: what a scan checks every candidate row with.
+    pub fn table_visibility(&self, table: &str, view: &ReadView) -> TableVisibility<'_> {
+        TableVisibility {
+            state: self,
+            versions: self.versions.get(table).filter(|m| !m.is_empty()),
+            view: *view,
         }
     }
 

@@ -97,12 +97,17 @@ impl HeapTable {
 
     /// Fetch and decode the row at `id`; `None` if deleted/never existed.
     pub fn get(&self, id: RowId) -> Option<Vec<Value>> {
-        let rec: &[u8] = match id.decode() {
-            RowAddr::Paged(p, s) => self.pages.get(p as usize)?.get(s)?,
-            RowAddr::Overflow(i) => self.overflow.get(i)?.as_deref()?,
-        };
         let mut pos = 0;
-        decode_row(rec, &mut pos).ok()
+        decode_row(self.get_raw(id)?, &mut pos).ok()
+    }
+
+    /// The encoded record at `id`, undecoded; `None` if deleted/never
+    /// existed.
+    pub fn get_raw(&self, id: RowId) -> Option<&[u8]> {
+        match id.decode() {
+            RowAddr::Paged(p, s) => self.pages.get(p as usize)?.get(s),
+            RowAddr::Overflow(i) => self.overflow.get(i)?.as_deref(),
+        }
     }
 
     /// Delete the row at `id`; returns true if it was live.
@@ -136,20 +141,26 @@ impl HeapTable {
 
     /// Iterate `(RowId, row)` over all live rows in storage order.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, Vec<Value>)> + '_ {
+        self.scan_raw().map(|(rid, rec)| {
+            let mut pos = 0;
+            let row = decode_row(rec, &mut pos).expect("stored rows decode");
+            (rid, row)
+        })
+    }
+
+    /// Iterate `(RowId, record)` over all live rows in storage order,
+    /// leaving each encoded record undecoded: callers check visibility
+    /// first and decode only what they read.
+    pub fn scan_raw(&self) -> impl Iterator<Item = (RowId, &[u8])> + '_ {
         let paged = self.pages.iter().enumerate().flat_map(|(pi, page)| {
-            page.iter().map(move |(slot, rec)| {
-                let mut pos = 0;
-                let row = decode_row(rec, &mut pos).expect("stored rows decode");
-                (RowId::paged(pi as u32, slot), row)
-            })
+            page.iter()
+                .map(move |(slot, rec)| (RowId::paged(pi as u32, slot), rec))
         });
-        let over = self.overflow.iter().enumerate().filter_map(|(i, rec)| {
-            rec.as_ref().map(|r| {
-                let mut pos = 0;
-                let row = decode_row(r, &mut pos).expect("stored rows decode");
-                (RowId::overflow(i as u64), row)
-            })
-        });
+        let over = self
+            .overflow
+            .iter()
+            .enumerate()
+            .filter_map(|(i, rec)| rec.as_deref().map(|r| (RowId::overflow(i as u64), r)));
         paged.chain(over)
     }
 
@@ -274,6 +285,13 @@ mod tests {
         h.insert(&row(2));
         let rows: Vec<_> = h.scan().collect();
         assert_eq!(rows.len(), 3);
+        let raw: Vec<_> = h.scan_raw().collect();
+        assert_eq!(raw.len(), 3);
+        for ((rid, row), (raw_rid, rec)) in rows.iter().zip(&raw) {
+            assert_eq!(rid, raw_rid);
+            assert_eq!(h.get_raw(*rid), Some(*rec));
+            assert_eq!(&decode_row(rec, &mut 0).unwrap(), row);
+        }
     }
 
     #[test]

@@ -265,37 +265,43 @@ impl fmt::Display for Value {
 pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
     out.extend_from_slice(&(row.len() as u32).to_le_bytes());
     for v in row {
-        match v {
-            Value::Null => out.push(0),
-            Value::Int(i) => {
-                out.push(1);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Double(d) => {
-                out.push(2);
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(3);
-                put_bytes(out, s.as_bytes());
-            }
-            Value::Bool(b) => out.push(if *b { 5 } else { 4 }),
-            Value::Timestamp(t) => {
-                out.push(6);
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-            Value::Blob(b) => {
-                out.push(7);
-                put_bytes(out, b);
-            }
-            Value::Clob(c) => {
-                out.push(8);
-                put_bytes(out, c.as_bytes());
-            }
-            Value::Datalink(u) => {
-                out.push(9);
-                put_bytes(out, u.as_bytes());
-            }
+        encode_value(v, out);
+    }
+}
+
+/// Encode one value: the per-column part of [`encode_row`]. A row
+/// encoding is the `u32` column count followed by each value's encoding.
+pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Null => out.push(0),
+        Value::Int(i) => {
+            out.push(1);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Double(d) => {
+            out.push(2);
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+        Value::Str(s) => {
+            out.push(3);
+            put_bytes(out, s.as_bytes());
+        }
+        Value::Bool(b) => out.push(if *b { 5 } else { 4 }),
+        Value::Timestamp(t) => {
+            out.push(6);
+            out.extend_from_slice(&t.to_le_bytes());
+        }
+        Value::Blob(b) => {
+            out.push(7);
+            put_bytes(out, b);
+        }
+        Value::Clob(c) => {
+            out.push(8);
+            put_bytes(out, c.as_bytes());
+        }
+        Value::Datalink(u) => {
+            out.push(9);
+            put_bytes(out, u.as_bytes());
         }
     }
 }
@@ -308,32 +314,104 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 /// Decode a row previously encoded with [`encode_row`]; advances `pos`.
 pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
     let n = read_u32(buf, pos)? as usize;
-    let mut row = Vec::with_capacity(n);
+    let mut row = Vec::with_capacity(n.min(buf.len()));
     for _ in 0..n {
-        let tag = *buf
-            .get(*pos)
-            .ok_or_else(|| DbError::Storage("row decode: truncated".into()))?;
-        *pos += 1;
-        let v = match tag {
-            0 => Value::Null,
-            1 => Value::Int(read_i64(buf, pos)?),
-            2 => Value::Double(f64::from_le_bytes(read_8(buf, pos)?)),
-            3 => Value::Str(read_string(buf, pos)?),
-            4 => Value::Bool(false),
-            5 => Value::Bool(true),
-            6 => Value::Timestamp(read_i64(buf, pos)?),
-            7 => {
-                let len = read_u32(buf, pos)? as usize;
-                let b = get_slice(buf, pos, len)?.to_vec();
-                Value::Blob(b)
-            }
-            8 => Value::Clob(read_string(buf, pos)?),
-            9 => Value::Datalink(read_string(buf, pos)?),
-            t => return Err(DbError::Storage(format!("row decode: bad tag {t}"))),
-        };
+        let mut v = Value::Null;
+        decode_value_into(buf, pos, &mut v)?;
         row.push(v);
     }
     Ok(row)
+}
+
+/// Decode only the columns `cols` (ascending slot numbers) of the
+/// [`encode_row`] record `rec` into the same slots of `out`, skipping
+/// the others and stopping after the last one wanted; slots not in
+/// `cols` keep whatever they held. Text and byte values decode into the
+/// buffer their slot already owns, so a scan that reuses `out` across
+/// rows allocates nothing per row once its buffers have grown.
+pub fn decode_columns(rec: &[u8], cols: &[usize], out: &mut [Value]) -> Result<()> {
+    let Some(&last) = cols.last() else {
+        return Ok(());
+    };
+    let mut pos = 0;
+    let n = read_u32(rec, &mut pos)? as usize;
+    if last >= n || out.len() < n {
+        return Err(DbError::Storage(format!(
+            "row decode: record has {n} columns, row has {}",
+            out.len()
+        )));
+    }
+    let mut want = cols.iter().peekable();
+    for (i, slot) in out.iter_mut().enumerate().take(last + 1) {
+        if want.next_if_eq(&&i).is_some() {
+            decode_value_into(rec, &mut pos, slot)?;
+        } else {
+            skip_value(rec, &mut pos)?;
+        }
+    }
+    Ok(())
+}
+
+fn read_tag(buf: &[u8], pos: &mut usize) -> Result<u8> {
+    let tag = *buf
+        .get(*pos)
+        .ok_or_else(|| DbError::Storage("row decode: truncated".into()))?;
+    *pos += 1;
+    Ok(tag)
+}
+
+/// Decode one value into `slot`, reusing the string or byte buffer it
+/// already holds.
+fn decode_value_into(buf: &[u8], pos: &mut usize, slot: &mut Value) -> Result<()> {
+    let tag = read_tag(buf, pos)?;
+    *slot = match tag {
+        0 => Value::Null,
+        1 => Value::Int(read_i64(buf, pos)?),
+        2 => Value::Double(f64::from_le_bytes(read_8(buf, pos)?)),
+        3 | 8 | 9 => {
+            let len = read_u32(buf, pos)? as usize;
+            let text = std::str::from_utf8(get_slice(buf, pos, len)?)
+                .map_err(|_| DbError::Storage("row decode: bad utf8".into()))?;
+            let mut s = match std::mem::replace(slot, Value::Null) {
+                Value::Str(s) | Value::Clob(s) | Value::Datalink(s) => s,
+                _ => String::new(),
+            };
+            s.clear();
+            s.push_str(text);
+            match tag {
+                3 => Value::Str(s),
+                8 => Value::Clob(s),
+                _ => Value::Datalink(s),
+            }
+        }
+        4 => Value::Bool(false),
+        5 => Value::Bool(true),
+        6 => Value::Timestamp(read_i64(buf, pos)?),
+        7 => {
+            let len = read_u32(buf, pos)? as usize;
+            let bytes = get_slice(buf, pos, len)?;
+            let mut b = match std::mem::replace(slot, Value::Null) {
+                Value::Blob(b) => b,
+                _ => Vec::new(),
+            };
+            b.clear();
+            b.extend_from_slice(bytes);
+            Value::Blob(b)
+        }
+        t => return Err(DbError::Storage(format!("row decode: bad tag {t}"))),
+    };
+    Ok(())
+}
+
+/// Advance `pos` past one encoded value.
+fn skip_value(buf: &[u8], pos: &mut usize) -> Result<()> {
+    let len = match read_tag(buf, pos)? {
+        0 | 4 | 5 => 0,
+        1 | 2 | 6 => 8,
+        3 | 7 | 8 | 9 => read_u32(buf, pos)? as usize,
+        t => return Err(DbError::Storage(format!("row decode: bad tag {t}"))),
+    };
+    get_slice(buf, pos, len).map(|_| ())
 }
 
 fn get_slice<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
@@ -356,12 +434,6 @@ fn read_8(buf: &[u8], pos: &mut usize) -> Result<[u8; 8]> {
 
 fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
     Ok(i64::from_le_bytes(read_8(buf, pos)?))
-}
-
-fn read_string(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = read_u32(buf, pos)? as usize;
-    let s = get_slice(buf, pos, len)?;
-    String::from_utf8(s.to_vec()).map_err(|_| DbError::Storage("row decode: bad utf8".into()))
 }
 
 #[cfg(test)]
@@ -460,6 +532,36 @@ mod tests {
         let back = decode_row(&buf, &mut pos).unwrap();
         assert_eq!(back, row);
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn decode_columns_reads_only_the_wanted_slots() {
+        let row = vec![
+            Value::Str("key".into()),
+            Value::Blob(vec![1, 2]),
+            Value::Int(7),
+            Value::Null,
+            Value::Datalink("http://fs1/a".into()),
+            Value::Double(0.5),
+        ];
+        let mut rec = Vec::new();
+        encode_row(&row, &mut rec);
+        let mut out = vec![Value::Bool(true); row.len()];
+        decode_columns(&rec, &[2, 4], &mut out).unwrap();
+        assert_eq!(out[2], Value::Int(7));
+        assert_eq!(out[4], Value::Datalink("http://fs1/a".into()));
+        assert_eq!(out[0], Value::Bool(true), "unwanted slots untouched");
+        assert_eq!(out[5], Value::Bool(true), "stops after the last wanted");
+        // Reusing the buffers: a string slot takes any string variant.
+        decode_columns(&rec, &[0, 1, 3, 4, 5], &mut out).unwrap();
+        assert_eq!(out, {
+            let mut want = row.clone();
+            want[2] = Value::Int(7);
+            want
+        });
+        decode_columns(&rec, &[], &mut out).unwrap();
+        assert!(decode_columns(&rec[..rec.len() - 3], &[5], &mut out).is_err());
+        assert!(decode_columns(&rec, &[6], &mut vec![Value::Null; 7]).is_err());
     }
 
     #[test]
