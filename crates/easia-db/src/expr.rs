@@ -220,19 +220,19 @@ fn string_fn(v: &Value, f: impl Fn(&str) -> String) -> Result<Value> {
 /// statement that fails only when a row is evaluated still answers an
 /// empty table, and the first error raised is the one row-at-a-time
 /// evaluation of the unbound tree would raise.
-pub struct Binder<'a> {
+pub(crate) struct Binder<'a> {
     /// Shape of the rows bound expressions read.
-    pub schema: &'a RowSchema,
+    pub(crate) schema: &'a RowSchema,
     /// Positional parameter values (1-based indices into this slice + 1).
-    pub params: &'a [Value],
+    pub(crate) params: &'a [Value],
     /// Scalar functions.
-    pub functions: &'a FnRegistry,
+    pub(crate) functions: &'a FnRegistry,
 }
 
 impl Binder<'_> {
     /// Bind `expr` for plain row evaluation (WHERE, ON, GROUP BY,
     /// aggregate arguments and the select list of a non-aggregate query).
-    pub fn bind(&self, expr: &Expr) -> Bound {
+    pub(crate) fn bind(&self, expr: &Expr) -> Bound {
         self.bind_in(expr, None)
     }
 
@@ -243,7 +243,7 @@ impl Binder<'_> {
     /// them. Under any other node an aggregate call is an ordinary
     /// function call (and so an unknown function). ORDER BY keys always
     /// bind this way, with no calls outside an aggregate query.
-    pub fn bind_with_aggs(&self, expr: &Expr, calls: &[Expr]) -> Bound {
+    pub(crate) fn bind_with_aggs(&self, expr: &Expr, calls: &[Expr]) -> Bound {
         self.bind_in(expr, Some(calls))
     }
 
@@ -338,7 +338,7 @@ fn same_call(a: &Expr, b: &Expr) -> bool {
 /// An expression bound by a [`Binder`]: evaluates against a row by
 /// reference, reading slots by index.
 #[derive(Clone)]
-pub enum Bound {
+pub(crate) enum Bound {
     /// A literal or parameter value.
     Const(Value),
     /// The row's value at a slot.
@@ -400,7 +400,11 @@ impl Bound {
     /// Evaluate against `row` (and, for [`Bound::Agg`], the finished
     /// aggregate values `aggs`). Slots and constants come back borrowed;
     /// only computed values are allocated.
-    pub fn eval<'a>(&'a self, row: &'a [Value], aggs: &'a [Value]) -> Result<Cow<'a, Value>> {
+    pub(crate) fn eval<'a>(
+        &'a self,
+        row: &'a [Value],
+        aggs: &'a [Value],
+    ) -> Result<Cow<'a, Value>> {
         let v = match self {
             Bound::Const(v) => return Ok(Cow::Borrowed(v)),
             Bound::Slot(i) => return Ok(Cow::Borrowed(&row[*i])),
@@ -510,12 +514,12 @@ impl Bound {
 
     /// SQL truth of the value against `row`: `Some(bool)`, or `None` for
     /// UNKNOWN.
-    pub fn truth(&self, row: &[Value]) -> Result<Option<bool>> {
+    pub(crate) fn truth(&self, row: &[Value]) -> Result<Option<bool>> {
         Ok(truth(&*self.eval(row, &[])?))
     }
 
     /// Append every slot this expression reads to `out`.
-    pub fn slots(&self, out: &mut Vec<usize>) {
+    pub(crate) fn slots(&self, out: &mut Vec<usize>) {
         let mut walk = |b: &Bound| b.slots(out);
         match self {
             Bound::Slot(i) => out.push(*i),

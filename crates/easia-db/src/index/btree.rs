@@ -289,7 +289,7 @@ impl BPlusTree {
     /// at the first key not below `prefix` and stops at the first key
     /// past it, so it reads only the matching entries and the tree path
     /// to them.
-    pub fn prefix_rows(&self, prefix: &[Value]) -> Vec<RowId> {
+    pub(crate) fn prefix_rows(&self, prefix: &[Value]) -> Vec<RowId> {
         let mut out = Vec::new();
         Self::prefix_rec(&self.root, prefix, &mut out);
         out

@@ -81,7 +81,7 @@ impl ReadView {
 /// entries — the steady single-session state — every row is visible
 /// without a map probe.
 #[derive(Debug, Clone, Copy)]
-pub struct TableVisibility<'a> {
+pub(crate) struct TableVisibility<'a> {
     state: &'a MvccState,
     versions: Option<&'a BTreeMap<RowId, RowVersion>>,
     view: ReadView,
@@ -89,7 +89,7 @@ pub struct TableVisibility<'a> {
 
 impl TableVisibility<'_> {
     /// Is the row at `rid` visible?
-    pub fn visible(&self, rid: RowId) -> bool {
+    pub(crate) fn visible(&self, rid: RowId) -> bool {
         match self.versions.and_then(|m| m.get(&rid)) {
             None => true,
             Some(v) => {
@@ -261,7 +261,7 @@ impl MvccState {
 
     /// Visibility of `table`'s rows to `view`, with the table's version
     /// map looked up once: what a scan checks every candidate row with.
-    pub fn table_visibility(&self, table: &str, view: &ReadView) -> TableVisibility<'_> {
+    pub(crate) fn table_visibility(&self, table: &str, view: &ReadView) -> TableVisibility<'_> {
         TableVisibility {
             state: self,
             versions: self.versions.get(table).filter(|m| !m.is_empty()),

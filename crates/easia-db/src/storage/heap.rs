@@ -103,7 +103,7 @@ impl HeapTable {
 
     /// The encoded record at `id`, undecoded; `None` if deleted/never
     /// existed.
-    pub fn get_raw(&self, id: RowId) -> Option<&[u8]> {
+    pub(crate) fn get_raw(&self, id: RowId) -> Option<&[u8]> {
         match id.decode() {
             RowAddr::Paged(p, s) => self.pages.get(p as usize)?.get(s),
             RowAddr::Overflow(i) => self.overflow.get(i)?.as_deref(),
@@ -151,7 +151,7 @@ impl HeapTable {
     /// Iterate `(RowId, record)` over all live rows in storage order,
     /// leaving each encoded record undecoded: callers check visibility
     /// first and decode only what they read.
-    pub fn scan_raw(&self) -> impl Iterator<Item = (RowId, &[u8])> + '_ {
+    pub(crate) fn scan_raw(&self) -> impl Iterator<Item = (RowId, &[u8])> + '_ {
         let paged = self.pages.iter().enumerate().flat_map(|(pi, page)| {
             page.iter()
                 .map(move |(slot, rec)| (RowId::paged(pi as u32, slot), rec))

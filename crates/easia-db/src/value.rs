@@ -271,7 +271,7 @@ pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
 
 /// Encode one value: the per-column part of [`encode_row`]. A row
 /// encoding is the `u32` column count followed by each value's encoding.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(0),
         Value::Int(i) => {
@@ -329,7 +329,7 @@ pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
 /// `cols` keep whatever they held. Text and byte values decode into the
 /// buffer their slot already owns, so a scan that reuses `out` across
 /// rows allocates nothing per row once its buffers have grown.
-pub fn decode_columns(rec: &[u8], cols: &[usize], out: &mut [Value]) -> Result<()> {
+pub(crate) fn decode_columns(rec: &[u8], cols: &[usize], out: &mut [Value]) -> Result<()> {
     let Some(&last) = cols.last() else {
         return Ok(());
     };
