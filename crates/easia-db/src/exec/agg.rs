@@ -4,18 +4,11 @@
 
 use super::{derive_name, order_keys, Collector, Key, Passed};
 use crate::error::{DbError, Result};
-use crate::expr::{truth, Binder, Bound};
+use crate::expr::{same_call, truth, Binder, Bound};
 use crate::sql::ast::{Expr, SelectItem, SelectStmt};
 use crate::value::{encode_value, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
-
-/// Canonical identity key for an aggregate call site, used to dedup
-/// repeated occurrences of the same call (e.g. `AVG(X)` in the item
-/// list and again in HAVING).
-fn agg_key(e: &Expr) -> String {
-    format!("{e:?}")
-}
 
 /// True when `name` is one of the supported aggregate functions.
 pub fn is_aggregate_fn(name: &str) -> bool {
@@ -23,12 +16,13 @@ pub fn is_aggregate_fn(name: &str) -> bool {
 }
 
 /// Collect aggregate call sites from an expression, deduplicated by
-/// [`agg_key`], in first-appearance order. Does not recurse into
+/// [`same_call`] (so `AVG(X)` in the item list and again in HAVING is one
+/// call), in first-appearance order. Does not recurse into
 /// aggregate arguments (nested aggregates are invalid SQL).
 fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
     if let Expr::Function { name, .. } = e {
         if is_aggregate_fn(name) {
-            if !out.iter().any(|x| agg_key(x) == agg_key(e)) {
+            if !out.iter().any(|x| same_call(x, e)) {
                 out.push(e.clone());
             }
             return; // nested aggregates are invalid; don't recurse
@@ -66,7 +60,7 @@ fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
 }
 
 /// The aggregate calls of `sel` — select list, then HAVING, then ORDER
-/// BY, deduplicated by `agg_key` — in the order every
+/// BY, deduplicated by [`same_call`] — in the order every
 /// [`AggGroup::states`] follows.
 pub fn aggregate_calls(sel: &SelectStmt) -> Vec<Expr> {
     let mut calls = Vec::new();

@@ -329,9 +329,10 @@ impl Binder<'_> {
     }
 }
 
-/// Whether `a` and `b` are the same aggregate call site — compared by
-/// rendered form, as the executor deduplicates calls.
-fn same_call(a: &Expr, b: &Expr) -> bool {
+/// Whether `a` and `b` are the same aggregate call site, compared by
+/// rendered form: the identity the executor deduplicates calls by and
+/// substitutes finished aggregate values by.
+pub(crate) fn same_call(a: &Expr, b: &Expr) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
