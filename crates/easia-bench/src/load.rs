@@ -587,8 +587,15 @@ mod tests {
 
     #[test]
     fn overload_sheds_with_admission_and_collapses_without() {
-        let on = run_load(&small(15, true));
-        let off = run_load(&small(15, false));
+        // 400 arrivals per phase: with browses mostly served from
+        // prefetch, 200 arrivals end the 2x phase before the ablation's
+        // scan queue has built up (E14 itself runs 1,000).
+        let cfg = |admission| LoadConfig {
+            phase_requests: 400,
+            ..small(15, admission)
+        };
+        let on = run_load(&cfg(true));
+        let off = run_load(&cfg(false));
         let on2 = on.phases.last().unwrap();
         let off2 = off.phases.last().unwrap();
         let on_scan = &on2.classes[1];

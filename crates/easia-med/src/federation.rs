@@ -18,8 +18,9 @@
 //!    merged the moment it lands ([`SimNet::run_until_any_settled`] is
 //!    the wait primitive), so a screen's latency tracks the slowest
 //!    *site*, not the sum of sites. Per-stream stall clocks replace
-//!    whole-wave barriers; the pre-pipeline barrier scheduler survives
-//!    behind the [`Federation::lockstep`] ablation flag.
+//!    whole-wave barriers; the pre-pipeline barrier schedule survives,
+//!    as a schedule of the same pump, behind the
+//!    [`Federation::lockstep`] ablation flag.
 //! 5. **Merge** — the hub executor re-runs the *original* statement
 //!    with the shipped rows bound as an in-memory relation in place of
 //!    the foreign table ([`easia_db::exec::run_select_over`]), so every
@@ -63,7 +64,7 @@ use easia_db::exec::{
     aggregate_calls, finish_groups, run_select_over, AggGroup, AggState, Relation,
 };
 use easia_db::expr::RowSchema;
-use easia_db::sql::ast::{JoinKind, SelectItem, SelectStmt, Stmt};
+use easia_db::sql::ast::{Expr, JoinKind, SelectItem, SelectStmt, Stmt};
 use easia_db::sql::parse;
 use easia_db::value::encode_row;
 use easia_db::{Database, DbError, ResultSet, SqlType, Value};
@@ -237,7 +238,9 @@ struct Pending<'a> {
     /// The request this site is serving (the pushed scan, or a
     /// full-partition scan when refilling the replica cache).
     request: ScanRequest,
-    frames: std::vec::IntoIter<Vec<u8>>,
+    /// The batch frames the site has yet to ship; `None` until the
+    /// scan request is delivered and the site has served it.
+    frames: Option<std::vec::IntoIter<Vec<u8>>>,
     /// Accepted rows, in request-column order.
     rows: Vec<Vec<Value>>,
     /// Count of fully-received batches == next expected sequence
@@ -307,26 +310,23 @@ struct GatherState<'a> {
     deadline: f64,
 }
 
-/// What one stream currently has on the wire.
-enum Flight {
-    /// Nothing — ready to launch the request or the next batch, or the
-    /// stream is complete.
-    Idle,
-    /// The EMQ1 scan-request frame.
-    Request {
-        /// The in-flight transfer.
-        id: TransferId,
-        /// Frame length, accounted on delivery.
-        len: u64,
-    },
-    /// An EMB1 row-batch frame, kept so the hub can account and decode
-    /// it the moment it is delivered.
-    Batch {
-        /// The in-flight transfer.
-        id: TransferId,
-        /// The frame bytes.
-        frame: Vec<u8>,
-    },
+/// One WAN transfer the pump has launched for a stream and not yet
+/// booked.
+struct Flight {
+    /// The stream's index in its group.
+    stream: usize,
+    /// The transfer.
+    id: TransferId,
+    /// The frame on the wire, booked and decoded on delivery.
+    frame: Vec<u8>,
+    /// The frame is the EMQ1 scan request (else an EMB1 row batch).
+    request: bool,
+    /// Stall clock: the last instant the transfer moved bytes, and its
+    /// bytes moved by then.
+    progress: (f64, f64),
+    /// The transfer has been seen delivered, failed or cancelled. A
+    /// barrier schedule holds it until its whole wave has settled.
+    settled: bool,
 }
 
 /// Project full-partition rows (all `ft` columns, site-schema order)
@@ -386,10 +386,10 @@ pub struct Federation {
     /// Largest join-key set a semi-join scan will ship; bigger key
     /// lists fall back to a full-partition ship.
     pub semijoin_max_keys: usize,
-    /// Ablation: revert to the pre-E13 barrier scheduler (scatter a
-    /// whole wave, settle it, repeat), so the pipelined pump's latency
-    /// win stays measurable. Also serialises `query_many` siblings and
-    /// JOIN legs.
+    /// Ablation: pump in the pre-E13 barrier schedule (launch a whole
+    /// wave, let it settle, repeat), so the pipelined pump's latency win
+    /// stays measurable. Also serialises `query_many` siblings and JOIN
+    /// legs.
     pub lockstep: bool,
     /// Hub-side stale-replica cache (None = caching disabled).
     cache: Option<RefCell<ReplicaCache>>,
@@ -546,70 +546,15 @@ impl Federation {
         sql: &str,
         params: &[Value],
     ) -> Result<QueryOutcome, FedError> {
-        let t0 = net.now();
-        let sel = match parse(sql)? {
-            Stmt::Select(s) => s,
-            _ => return Err(FedError::Unsupported("only SELECT can be federated".into())),
-        };
-        if !sel.joins.is_empty() {
-            // JOINs take the semi-join shipping path; validate_join is
-            // the single typed error gate for both the pushdown planner
-            // and the ship-everything ablation.
-            return self.query_join(net, hub_host, hub_db, obs, &sel, params, t0);
-        }
-        let (ft, plan, request) = self.plan_single(&sel, params)?;
-        let deadline = t0 + self.deadline_secs;
-
-        let mut explain = FedExplain {
-            table: ft.name.clone(),
-            ..FedExplain::default()
-        };
-        let gather = TableGather {
-            ft: &ft,
-            columns: &plan.columns,
-            request,
-            site_key_value: plan.site_key_value.clone(),
-            pushed_sql: plan.pushed_sql(),
-            hub_sql: plan.hub_sql(),
-            topk: plan.order_limit.is_some(),
-            table_label: String::new(),
-            skip_all: false,
-        };
-        let gathered =
-            self.gather_partitions(net, hub_host, hub_db, obs, &gather, deadline, &mut explain)?;
-        self.conjunct_metrics(
-            obs,
-            gather.pushed_sql.len() as u64,
-            gather.hub_sql.len() as u64,
-        );
-
-        // Merge: fold partial-aggregate states, or re-run the original
-        // statement over the shipped rows bound as a relation.
-        let rs = self.merge_outcome(
+        self.query_many(
+            net,
+            hub_host,
             hub_db,
             obs,
-            &sel,
-            &ft,
-            &plan,
-            params,
-            gathered,
-            &mut explain,
-        )?;
-
-        if let Some(o) = obs {
-            o.tracer.record(
-                "easia.med.query",
-                t0,
-                net.now(),
-                &[
-                    ("table", ft.name.clone()),
-                    ("rows_shipped", explain.rows_shipped().to_string()),
-                    ("bytes_wire", explain.bytes_wire().to_string()),
-                    ("skipped", explain.skipped.len().to_string()),
-                ],
-            );
-        }
-        Ok(QueryOutcome { rs, explain })
+            &[(sql.to_string(), params.to_vec())],
+        )
+        .pop()
+        .expect("one statement, one result")
     }
 
     /// Execute several statements from one portal session so their WAN
@@ -618,8 +563,8 @@ impl Federation {
     /// result comes back in input order. Wall-clock tracks the slowest
     /// statement instead of the sum. JOIN statements run after the
     /// shared pump (each pipelines its own legs internally), and under
-    /// the `lockstep` ablation everything degrades to sequential
-    /// [`Federation::query`] calls.
+    /// the `lockstep` ablation the statements run one after another.
+    /// [`Federation::query`] is this path with a single statement.
     pub fn query_many(
         &self,
         net: &mut SimNet,
@@ -628,7 +573,7 @@ impl Federation {
         obs: Option<&Obs>,
         queries: &[(String, Vec<Value>)],
     ) -> Vec<Result<QueryOutcome, FedError>> {
-        if self.lockstep {
+        if self.lockstep && queries.len() > 1 {
             return queries
                 .iter()
                 .map(|(sql, p)| self.query(net, hub_host, hub_db, obs, sql, p))
@@ -715,7 +660,7 @@ impl Federation {
                 Err(e) => results[ready_idx[k]] = Some(Err(e)),
             }
         }
-        if let Err(e) = self.pump(net, hub_host, obs, &mut live_states) {
+        if let Err(e) = self.pump_gathers(net, hub_host, &mut live_states) {
             // A pump error is session-wide (unroutable hub, stalled
             // scheduler): every live statement fails identically.
             for &k in &live_k {
@@ -847,19 +792,11 @@ impl Federation {
             plan.agg_fallback = Some("disabled");
         }
 
-        // Externalise pushed conjuncts into one parameterised,
-        // qualifier-free predicate (the site scan is single-table, so a
-        // hub-side alias would not resolve there).
-        let mut req_params = Vec::new();
-        let mut rendered = Vec::with_capacity(plan.pushed.len());
-        for c in &plan.pushed {
-            let e = externalize(&strip_qualifiers(c), params, &mut req_params)?;
-            rendered.push(easia_db::sql::expr_to_sql(&e));
-        }
+        let (predicate, req_params) = pushed_predicate(&plan.pushed, params)?;
         let request = ScanRequest {
             table: ft.name.clone(),
             columns: plan.columns.clone(),
-            predicate: rendered.join(" AND "),
+            predicate,
             params: req_params,
             order_by: plan
                 .order_limit
@@ -872,29 +809,6 @@ impl Federation {
             partial_agg: plan.partial_agg.as_ref().map(|a| a.spec()),
         };
         Ok((ft, plan, request))
-    }
-
-    /// Scatter-gather one table's partitions: prune, scan locally,
-    /// serve from the replica cache, or stream over the WAN — climbing
-    /// the degradation ladder on failure. Returns the gathered rows
-    /// (request-column order) and appends this table's entries to
-    /// `explain`. Shared by the single-table path and every federated
-    /// JOIN leg, so joins inherit retry/resume, breakers, the partial
-    /// policy and the replica cache unchanged.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_partitions(
-        &self,
-        net: &mut SimNet,
-        hub_host: HostId,
-        hub_db: &Database,
-        obs: Option<&Obs>,
-        g: &TableGather<'_>,
-        deadline: f64,
-        explain: &mut FedExplain,
-    ) -> Result<Vec<Vec<Value>>, FedError> {
-        let mut st = self.prepare_gather(net, hub_db, obs, g, deadline, explain)?;
-        self.pump(net, hub_host, obs, std::slice::from_mut(&mut st))?;
-        self.finish_gather(net, hub_host, hub_db, obs, g, st, explain)
     }
 
     /// Phase 1 of a gather: walk the table's partitions, pruning,
@@ -1053,7 +967,7 @@ impl Federation {
                     pending.push(Pending {
                         site,
                         request: req,
-                        frames: Vec::new().into_iter(),
+                        frames: None,
                         rows: Vec::new(),
                         cursor: 0,
                         last_write_counter: 0,
@@ -1086,310 +1000,188 @@ impl Federation {
     /// Phase 2 of a gather: move every listed state's streams over the
     /// WAN — pipelined by default, barrier waves under the `lockstep`
     /// ablation.
+    fn pump_gathers(
+        &self,
+        net: &mut SimNet,
+        hub_host: HostId,
+        states: &mut [GatherState<'_>],
+    ) -> Result<(), FedError> {
+        let mut groups: Vec<(&mut [Pending<'_>], f64)> = states
+            .iter_mut()
+            .map(|st| (&mut st.pending[..], st.deadline))
+            .collect();
+        self.pump(net, hub_host, &mut groups, self.lockstep)
+    }
+
+    /// The event pump: the one scheduler that launches, waits on,
+    /// cancels and books federation WAN transfers. Each group is one
+    /// gather's streams with its query's deadline; every stream of every
+    /// group shares one clock-ordered loop over
+    /// [`SimNet::run_until_any_settled`].
+    ///
+    /// Pipelined (the default), scan requests all launch immediately
+    /// and overlap; each site then streams its row batches one frame in
+    /// flight (at most `window` concurrent batch frames per group), and
+    /// a frame is booked the moment it is delivered — merge work starts
+    /// when the *first* batch lands, not when the slowest site's wave
+    /// resolves.
+    ///
+    /// With `barrier` (the pre-E13 schedule kept as the `lockstep`
+    /// ablation, so the pipelined latency win stays measurable), groups
+    /// are pumped one at a time and nothing launches while any of the
+    /// group's transfers is in flight: the requests go out as one wave,
+    /// then batch waves fill up to `window` frames round-robin across
+    /// streams (so a stream may have several frames in flight), and a
+    /// settled wave is booked stream by stream in sequence order.
+    ///
+    /// Either way, each transfer keeps its own stall clock: one that
+    /// moves no bytes for a full `retry.stall_timeout_s` quantum is
+    /// cancelled alone while its peers keep streaming. Unrelated
+    /// traffic on the network shares bandwidth but never ends a wait.
     fn pump(
         &self,
         net: &mut SimNet,
         hub_host: HostId,
-        obs: Option<&Obs>,
-        states: &mut [GatherState<'_>],
+        groups: &mut [(&mut [Pending<'_>], f64)],
+        barrier: bool,
     ) -> Result<(), FedError> {
-        if self.lockstep {
-            for st in states.iter_mut() {
-                self.pump_lockstep(net, hub_host, obs, st)?;
+        if barrier && groups.len() > 1 {
+            for group in groups.iter_mut() {
+                self.pump(net, hub_host, std::slice::from_mut(group), true)?;
             }
             return Ok(());
         }
-        self.pump_pipelined(net, hub_host, obs, states)
-    }
-
-    /// The event-driven pump: every stream of every listed gather
-    /// shares one clock-ordered loop over
-    /// [`SimNet::run_until_any_settled`].
-    ///
-    /// Scan requests all launch immediately and overlap; each site then
-    /// streams its row batches one frame in flight (at most `window`
-    /// concurrent batch frames per gather), and `accept_batch` runs the
-    /// moment a frame is delivered — merge work starts when the *first*
-    /// batch lands, not when the slowest site's wave resolves. Per-
-    /// stream stall clocks replace the whole-wave barrier: a transfer
-    /// that moves no bytes for a full stall quantum is cancelled alone
-    /// while its peers keep streaming.
-    fn pump_pipelined(
-        &self,
-        net: &mut SimNet,
-        hub_host: HostId,
-        obs: Option<&Obs>,
-        states: &mut [GatherState<'_>],
-    ) -> Result<(), FedError> {
         let stall = self.retry.stall_timeout_s.max(1e-3);
         let window = self.window.max(1);
-        let mut flights: Vec<Vec<Flight>> = states
-            .iter()
-            .map(|s| (0..s.pending.len()).map(|_| Flight::Idle).collect())
-            .collect();
-        let mut requested: Vec<Vec<bool>> = states
-            .iter()
-            .map(|s| vec![false; s.pending.len()])
-            .collect();
-        // Per-stream stall clock: (last progress time, bytes then).
-        let mut progress: Vec<Vec<(f64, f64)>> = states
-            .iter()
-            .map(|s| vec![(0.0, 0.0); s.pending.len()])
-            .collect();
+        let mut flights: Vec<Vec<Flight>> = groups.iter().map(|_| Vec::new()).collect();
         loop {
-            // Launch phase: start whatever each idle stream needs next.
+            // Launch phase: start whatever each ready stream needs next.
             let now = net.now();
-            for (si, st) in states.iter_mut().enumerate() {
-                let expired = now >= st.deadline;
-                let mut batches_inflight = flights[si]
-                    .iter()
-                    .filter(|f| matches!(f, Flight::Batch { .. }))
-                    .count();
-                for (pi, p) in st.pending.iter_mut().enumerate() {
-                    if p.failed || !matches!(flights[si][pi], Flight::Idle) {
-                        continue;
-                    }
-                    if !requested[si][pi] {
-                        // Deadline backpressure covers the scatter too:
-                        // at `now >= deadline` the request never leaves
-                        // the hub.
-                        if expired {
-                            p.failed = true;
-                            p.expired = true;
-                            self.metric(obs, "easia_med_deadline_cancelled_total", &p.site.name, 1);
+            for ((streams, deadline), fl) in groups.iter_mut().zip(&mut flights) {
+                if barrier && !fl.is_empty() {
+                    continue;
+                }
+                let expired = now >= *deadline;
+                let mut batches = fl.iter().filter(|f| !f.request).count();
+                loop {
+                    let mut launched = false;
+                    for (pi, p) in streams.iter_mut().enumerate() {
+                        // A pipelined stream keeps one frame in flight; a
+                        // barrier wave may hold several of its batches.
+                        let busy = fl.iter().any(|f| f.stream == pi && (f.request || !barrier));
+                        if p.failed || busy || p.frames.as_ref().is_some_and(|f| f.len() == 0) {
+                            // Failed, on the wire, or complete (request
+                            // delivered and every frame shipped).
                             continue;
                         }
-                        requested[si][pi] = true;
-                        let frame = p.request.encode();
-                        match net.try_transfer(hub_host, p.site.host, frame.len() as f64) {
+                        if expired {
+                            // Deadline backpressure covers the scatter
+                            // too: at `now >= deadline` nothing more
+                            // leaves for a shed or abandoned query.
+                            p.failed = true;
+                            p.expired = true;
+                            continue;
+                        }
+                        let request = p.frames.is_none();
+                        if !request && batches >= window {
+                            continue;
+                        }
+                        let (src, dst, frame) = match &mut p.frames {
+                            None => (hub_host, p.site.host, p.request.encode()),
+                            Some(frames) => (
+                                p.site.host,
+                                hub_host,
+                                frames.next().expect("emptiness checked above"),
+                            ),
+                        };
+                        match net.try_transfer(src, dst, frame.len() as f64) {
                             Some(id) => {
-                                progress[si][pi] = (now, 0.0);
-                                flights[si][pi] = Flight::Request {
+                                launched = true;
+                                batches += usize::from(!request);
+                                fl.push(Flight {
+                                    stream: pi,
                                     id,
-                                    len: frame.len() as u64,
-                                };
-                            }
-                            None => p.failed = true,
-                        }
-                    } else if p.frames.len() > 0 {
-                        // A shed or abandoned query must not keep
-                        // streaming WAN work nobody will consume.
-                        if expired {
-                            p.failed = true;
-                            p.expired = true;
-                            self.metric(obs, "easia_med_deadline_cancelled_total", &p.site.name, 1);
-                            continue;
-                        }
-                        if batches_inflight >= window {
-                            continue;
-                        }
-                        let f = p.frames.next().expect("len checked above");
-                        match net.try_transfer(p.site.host, hub_host, f.len() as f64) {
-                            Some(id) => {
-                                batches_inflight += 1;
-                                progress[si][pi] = (now, 0.0);
-                                flights[si][pi] = Flight::Batch { id, frame: f };
+                                    frame,
+                                    request,
+                                    progress: (now, 0.0),
+                                    settled: false,
+                                });
                             }
                             None => p.failed = true,
                         }
                     }
-                    // else: request delivered and every frame accepted —
-                    // the stream is complete.
+                    // Pipelined streams launch once per pass; a barrier
+                    // wave keeps filling round-robin.
+                    if !barrier || !launched {
+                        break;
+                    }
                 }
             }
             // Wait phase: sleep until the first of *our* transfers
-            // settles or the nearest stall horizon passes. Unrelated
-            // traffic keeps flowing but never ends the wait.
+            // settles or the nearest stall horizon passes.
             let mut ids: Vec<TransferId> = Vec::new();
             let mut horizon = f64::INFINITY;
-            for (si, fl) in flights.iter().enumerate() {
-                for (pi, f) in fl.iter().enumerate() {
-                    let id = match f {
-                        Flight::Request { id, .. } | Flight::Batch { id, .. } => *id,
-                        Flight::Idle => continue,
-                    };
-                    ids.push(id);
-                    horizon = horizon.min(progress[si][pi].0 + stall);
-                }
+            for f in flights.iter().flatten().filter(|f| !f.settled) {
+                ids.push(f.id);
+                horizon = horizon.min(f.progress.0 + stall);
             }
             if ids.is_empty() {
                 return Ok(());
             }
             let now = net.run_until_any_settled(&ids, horizon);
-            // Process phase: account deliveries the moment they land.
-            for (si, st) in states.iter_mut().enumerate() {
-                for (pi, p) in st.pending.iter_mut().enumerate() {
-                    let fl = &mut flights[si][pi];
-                    let id = match fl {
-                        Flight::Request { id, .. } | Flight::Batch { id, .. } => *id,
-                        Flight::Idle => continue,
-                    };
-                    match net.transfer_status(id) {
-                        TransferStatus::Done(_) => match std::mem::replace(fl, Flight::Idle) {
-                            Flight::Request { len, .. } => {
-                                p.bytes += len;
-                                // The site executes the pushed scan at
-                                // request-delivery time and frames its
-                                // batches, stamping its write counter.
-                                p.frames = serve_request(
-                                    &p.site.db.borrow(),
-                                    &p.request,
-                                    self.batch_rows,
-                                )?
-                                .into_iter();
-                            }
-                            Flight::Batch { frame, .. } => {
-                                // All delivered wire traffic counts,
-                                // even a frame the sequence check then
-                                // discards (DESIGN.md "Wire
-                                // accounting").
-                                p.bytes += frame.len() as u64;
-                                self.accept_batch(p, &frame)?;
-                            }
-                            Flight::Idle => unreachable!("matched above"),
-                        },
-                        TransferStatus::Failed { .. } => {
-                            *fl = Flight::Idle;
-                            p.failed = true;
-                        }
+            // Process phase: stall checks, then book what has settled.
+            for ((streams, _), fl) in groups.iter_mut().zip(&mut flights) {
+                for f in fl.iter_mut().filter(|f| !f.settled) {
+                    f.settled = match net.transfer_status(f.id) {
                         TransferStatus::InFlight { bytes_moved } => {
-                            let (t_last, b_last) = &mut progress[si][pi];
+                            let (t_last, b_last) = &mut f.progress;
                             if bytes_moved > *b_last + 1e-9 {
                                 *b_last = bytes_moved;
                                 *t_last = now;
+                                false
                             } else if now >= *t_last + stall - 1e-9 {
-                                // Individual stall cancellation: this
+                                // Individual stall cancellation: the
                                 // stream's peers keep streaming.
-                                net.cancel_transfer(id);
-                                *fl = Flight::Idle;
-                                p.failed = true;
+                                net.cancel_transfer(f.id);
+                                true
+                            } else {
+                                false
                             }
                         }
-                    }
+                        TransferStatus::Done(_) | TransferStatus::Failed { .. } => true,
+                    };
                 }
-            }
-        }
-    }
-
-    /// The pre-E13 barrier scheduler, kept as the `lockstep` ablation
-    /// so the pipelined pump's latency win stays measurable: scatter
-    /// all requests and settle them as one wave, execute every site
-    /// scan at the barrier, then stream batches in settle-bounded
-    /// waves of at most `window` frames, round-robin across sites.
-    fn pump_lockstep(
-        &self,
-        net: &mut SimNet,
-        hub_host: HostId,
-        obs: Option<&Obs>,
-        st: &mut GatherState<'_>,
-    ) -> Result<(), FedError> {
-        let deadline = st.deadline;
-        let pending = &mut st.pending;
-        // Unified deadline boundary: at `now >= deadline` nothing is
-        // issued, not even the scatter — a zero-budget query touches no
-        // WAN at all (matching the pipelined pump).
-        if net.now() >= deadline {
-            for p in pending.iter_mut() {
-                if !p.failed {
-                    p.failed = true;
-                    p.expired = true;
-                    self.metric(obs, "easia_med_deadline_cancelled_total", &p.site.name, 1);
+                if barrier && fl.iter().any(|f| !f.settled) {
+                    continue; // the wave is still on the wire
                 }
-            }
-            return Ok(());
-        }
-
-        // Scatter: ship each request frame to its live remote site.
-        let mut req_ids = Vec::with_capacity(pending.len());
-        for p in pending.iter() {
-            let frame = p.request.encode();
-            let id = net.try_transfer(hub_host, p.site.host, frame.len() as f64);
-            req_ids.push((id, frame.len() as u64));
-        }
-        self.settle(net, req_ids.iter().map(|(id, _)| *id).collect());
-        for (p, (id, len)) in pending.iter_mut().zip(&req_ids) {
-            let delivered = matches!(
-                id.map(|i| net.transfer_status(i)),
-                Some(TransferStatus::Done(_))
-            );
-            if delivered {
-                p.bytes += len;
-            } else {
-                p.failed = true;
-            }
-        }
-
-        // Remote execution: each surviving site runs the pushed scan and
-        // frames its result batches, stamping its write counter.
-        for p in pending.iter_mut() {
-            if p.failed {
-                continue;
-            }
-            p.frames = serve_request(&p.site.db.borrow(), &p.request, self.batch_rows)?.into_iter();
-        }
-
-        // Gather: stream batches back under a bounded in-flight window,
-        // round-robin across sites.
-        loop {
-            // Backpressure: once the query's deadline budget is spent,
-            // stop issuing batch requests. Already-issued transfers
-            // have settled; sites with frames still queued are
-            // cancelled client-side.
-            if net.now() >= deadline {
-                for p in pending.iter_mut() {
-                    if !p.failed && p.frames.len() > 0 {
+                let (mut settled, rest): (Vec<Flight>, Vec<Flight>) =
+                    std::mem::take(fl).into_iter().partition(|f| f.settled);
+                *fl = rest;
+                // Stable: a stream's frames stay in sequence order.
+                settled.sort_by_key(|f| f.stream);
+                for f in settled {
+                    let p = &mut streams[f.stream];
+                    if !matches!(net.transfer_status(f.id), TransferStatus::Done(_)) {
                         p.failed = true;
-                        p.expired = true;
-                        self.metric(obs, "easia_med_deadline_cancelled_total", &p.site.name, 1);
-                    }
-                }
-                break;
-            }
-            let mut wave: Vec<(usize, Vec<u8>)> = Vec::new();
-            'fill: while wave.len() < self.window.max(1) {
-                let mut progressed = false;
-                for (i, p) in pending.iter_mut().enumerate() {
-                    if p.failed {
                         continue;
                     }
-                    if let Some(f) = p.frames.next() {
-                        wave.push((i, f));
-                        progressed = true;
-                        if wave.len() >= self.window.max(1) {
-                            break 'fill;
-                        }
+                    // All delivered wire traffic counts, even a frame
+                    // the sequence check then discards (DESIGN.md "Wire
+                    // accounting").
+                    p.bytes += f.frame.len() as u64;
+                    if f.request {
+                        // The site executes the pushed scan at request-
+                        // delivery time and frames its batches, stamping
+                        // its write counter.
+                        let frames =
+                            serve_request(&p.site.db.borrow(), &p.request, self.batch_rows)?;
+                        p.frames = Some(frames.into_iter());
+                    } else {
+                        self.accept_batch(p, &f.frame)?;
                     }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            if wave.is_empty() {
-                break;
-            }
-            let ids: Vec<Option<TransferId>> = wave
-                .iter()
-                .map(|(i, f)| net.try_transfer(pending[*i].site.host, hub_host, f.len() as f64))
-                .collect();
-            self.settle(net, ids.clone());
-            for ((i, frame), id) in wave.into_iter().zip(ids) {
-                let p = &mut pending[i];
-                if p.failed {
-                    continue;
-                }
-                let delivered = matches!(
-                    id.map(|t| net.transfer_status(t)),
-                    Some(TransferStatus::Done(_))
-                );
-                if delivered {
-                    p.bytes += frame.len() as u64;
-                    self.accept_batch(p, &frame)?;
-                } else {
-                    p.failed = true;
                 }
             }
         }
-        Ok(())
     }
 
     /// Phase 3 of a gather: the sequential degradation ladder for
@@ -1429,6 +1221,7 @@ impl Federation {
                 // did nothing wrong, so its breaker must not trip —
                 // otherwise an overloaded *hub* would lock healthy
                 // sites out for subsequent queries.
+                self.metric(obs, "easia_med_deadline_cancelled_total", &p.site.name, 1);
                 continue;
             }
             if self.recover(net, hub_host, obs, p, deadline)? {
@@ -1537,11 +1330,6 @@ impl Federation {
         // The hub-eval conjunct list is whole-statement; report it once,
         // on the first federated leg's sites.
         let first_fed = plan.legs.iter().position(|l| l.federated);
-        let kind_of = |leg: &JoinLeg| match leg.kind {
-            None => "anchor".to_string(),
-            Some(JoinKind::Inner) => "INNER".to_string(),
-            Some(JoinKind::Left) => "LEFT".to_string(),
-        };
         // Legs execute in *dependency waves*, not statement order: a
         // semi-join leg becomes ready once its key source has gathered,
         // and every ready leg in a wave shares one event pump so
@@ -1554,12 +1342,7 @@ impl Federation {
         let mut pushed_total = 0u64;
         for (i, leg) in plan.legs.iter().enumerate() {
             if !leg.federated {
-                frags[i].joins.push(JoinExplain {
-                    table: leg.table.clone(),
-                    alias: leg.alias.clone(),
-                    kind: kind_of(leg),
-                    strategy: JoinStrategy::Local,
-                });
+                frags[i].joins.push(leg_explain(leg));
                 done[i] = true;
             }
         }
@@ -1596,16 +1379,11 @@ impl Federation {
                     .ok_or_else(|| FedError::UnknownTable(leg.table.clone()))?
                     .clone();
                 pushed_total += leg.pushed.len() as u64;
-                let mut req_params = Vec::new();
-                let mut rendered = Vec::with_capacity(leg.pushed.len());
-                for c in &leg.pushed {
-                    let e = externalize(&strip_qualifiers(c), params, &mut req_params)?;
-                    rendered.push(easia_db::sql::expr_to_sql(&e));
-                }
+                let (predicate, req_params) = pushed_predicate(&leg.pushed, params)?;
                 let mut request = ScanRequest {
                     table: ft.name.clone(),
                     columns: leg.columns.clone(),
-                    predicate: rendered.join(" AND "),
+                    predicate,
                     params: req_params,
                     order_by: vec![],
                     limit: None,
@@ -1614,11 +1392,8 @@ impl Federation {
                     partial_agg: None,
                 };
                 let mut skip_all = false;
-                let strategy = match &leg.strategy {
-                    // plan_join marks federated legs Gather/SemiJoin/
-                    // FullShip only; Local is for completeness.
-                    LegStrategy::Local => JoinStrategy::Local,
-                    LegStrategy::Gather => JoinStrategy::Gather,
+                let mut line = leg_explain(leg);
+                match &leg.strategy {
                     LegStrategy::SemiJoin {
                         key_column,
                         source_leg,
@@ -1630,7 +1405,7 @@ impl Federation {
                             leg_rows[*source_leg].as_deref(),
                             source_column,
                         )?;
-                        if keys.len() > self.semijoin_max_keys {
+                        line.strategy = if keys.len() > self.semijoin_max_keys {
                             // The IN-list would dominate the request
                             // frame: degrade to a full-partition ship.
                             let reason = format!(
@@ -1657,28 +1432,21 @@ impl Federation {
                                 key_column: key_column.clone(),
                                 keys: Some(n),
                             }
-                        }
+                        };
                     }
-                    LegStrategy::FullShip { reason } => {
-                        self.semijoin_fallback_metric(
-                            obs,
-                            if reason.contains("pushdown disabled") {
-                                "pushdown-off"
-                            } else {
-                                "no-key"
-                            },
-                        );
-                        JoinStrategy::FullShip {
-                            reason: reason.clone(),
-                        }
-                    }
-                };
-                frags[i].joins.push(JoinExplain {
-                    table: leg.table.clone(),
-                    alias: leg.alias.clone(),
-                    kind: kind_of(leg),
-                    strategy,
-                });
+                    LegStrategy::FullShip { reason } => self.semijoin_fallback_metric(
+                        obs,
+                        if reason.contains("pushdown disabled") {
+                            "pushdown-off"
+                        } else {
+                            "no-key"
+                        },
+                    ),
+                    // plan_join marks federated legs Gather/SemiJoin/
+                    // FullShip only.
+                    LegStrategy::Local | LegStrategy::Gather => {}
+                }
+                frags[i].joins.push(line);
                 wave.push(WaveLeg {
                     i,
                     ft,
@@ -1721,7 +1489,7 @@ impl Federation {
                     &mut frags[w.i],
                 )?);
             }
-            self.pump(net, hub_host, obs, &mut states)?;
+            self.pump_gathers(net, hub_host, &mut states)?;
             for ((w, gth), stt) in wave.iter().zip(&gathers).zip(states) {
                 let rows =
                     self.finish_gather(net, hub_host, hub_db, obs, gth, stt, &mut frags[w.i])?;
@@ -1898,19 +1666,8 @@ impl Federation {
         if !sel.joins.is_empty() {
             return self.explain_join(hub_db, &sel, params);
         }
-        let table = sel
-            .from
-            .as_ref()
-            .map(|t| t.name.to_ascii_uppercase())
-            .ok_or_else(|| FedError::Unsupported("SELECT without FROM".into()))?;
-        let ft = self
-            .catalog
-            .table(&table)
-            .ok_or(FedError::UnknownTable(table))?;
-        let mut plan = plan_select(&sel, ft, params)?;
-        if !self.partial_agg && plan.partial_agg.take().is_some() {
-            plan.agg_fallback = Some("disabled");
-        }
+        // Plan exactly as `query` does, so the ablation switches show.
+        let (ft, plan, _) = self.plan_single(&sel, params)?;
         let mut explain = FedExplain {
             table: ft.name.clone(),
             ..FedExplain::default()
@@ -1980,28 +1737,7 @@ impl Federation {
             ..FedExplain::default()
         };
         for (i, leg) in plan.legs.iter().enumerate() {
-            let kind = match leg.kind {
-                None => "anchor".to_string(),
-                Some(JoinKind::Inner) => "INNER".to_string(),
-                Some(JoinKind::Left) => "LEFT".to_string(),
-            };
-            let strategy = match &leg.strategy {
-                LegStrategy::Local => JoinStrategy::Local,
-                LegStrategy::Gather => JoinStrategy::Gather,
-                LegStrategy::SemiJoin { key_column, .. } => JoinStrategy::SemiJoin {
-                    key_column: key_column.clone(),
-                    keys: None,
-                },
-                LegStrategy::FullShip { reason } => JoinStrategy::FullShip {
-                    reason: reason.clone(),
-                },
-            };
-            explain.joins.push(JoinExplain {
-                table: leg.table.clone(),
-                alias: leg.alias.clone(),
-                kind,
-                strategy,
-            });
+            explain.joins.push(leg_explain(leg));
             if !leg.federated {
                 continue;
             }
@@ -2044,52 +1780,6 @@ impl Federation {
         }
     }
 
-    /// Drive the *listed* transfers to a verdict — completion, failure,
-    /// or a stall cancellation. The wait is scoped strictly to the
-    /// passed ids: unrelated in-flight transfers share bandwidth and
-    /// keep flowing, but are never waited on, settled, or cancelled —
-    /// concurrent queries must not settle each other's streams.
-    ///
-    /// Each transfer keeps its own stall clock: one that moves no bytes
-    /// for a full `retry.stall_timeout_s` quantum is cancelled
-    /// *individually* (its peers keep streaming), so an outage costs a
-    /// bounded stall instead of the whole outage window. With no faults
-    /// in play the loop is event-exact: it returns at the last listed
-    /// completion time.
-    fn settle(&self, net: &mut SimNet, ids: Vec<Option<TransferId>>) {
-        let stall = self.retry.stall_timeout_s.max(1e-3);
-        // (id, last progress time, bytes moved then).
-        let mut watch: Vec<(TransferId, f64, f64)> = ids
-            .into_iter()
-            .flatten()
-            .map(|id| (id, net.now(), net.transfer_bytes_moved(id)))
-            .collect();
-        loop {
-            watch.retain(|&(id, _, _)| {
-                matches!(net.transfer_status(id), TransferStatus::InFlight { .. })
-            });
-            if watch.is_empty() {
-                return;
-            }
-            let active: Vec<TransferId> = watch.iter().map(|w| w.0).collect();
-            let horizon = watch
-                .iter()
-                .map(|w| w.1 + stall)
-                .fold(f64::INFINITY, f64::min);
-            let now = net.run_until_any_settled(&active, horizon);
-            for (id, t_last, b_last) in watch.iter_mut() {
-                if let TransferStatus::InFlight { bytes_moved } = net.transfer_status(*id) {
-                    if bytes_moved > *b_last + 1e-9 {
-                        *b_last = bytes_moved;
-                        *t_last = now;
-                    } else if now >= *t_last + stall - 1e-9 {
-                        net.cancel_transfer(*id);
-                    }
-                }
-            }
-        }
-    }
-
     /// Decode a delivered batch frame into `p`, enforcing sequence
     /// contiguity and feeding the write counter to the replica cache's
     /// invalidation protocol.
@@ -2119,10 +1809,11 @@ impl Federation {
     }
 
     /// The retry/resume loop for one failed stream: backoff (extended
-    /// to the host's scheduled recovery when known), re-issue the scan
-    /// with `resume_from` at the cursor, and stream the missing
-    /// batches. Returns whether the stream completed.
-    #[allow(clippy::too_many_arguments)]
+    /// to the host's scheduled recovery when known), then re-pump the
+    /// stream with `resume_from` at the cursor, so the site re-runs the
+    /// deterministic scan and ships only the batches past it. Returns
+    /// whether the stream completed; a resume the deadline cuts short is
+    /// a site failure, not a client-side cancellation.
     fn recover(
         &self,
         net: &mut SimNet,
@@ -2165,53 +1856,21 @@ impl Federation {
                 p.cursor = 0;
                 p.rows.clear();
             }
-            let req = ScanRequest {
-                resume_from: p.cursor,
-                ..p.request.clone()
-            };
-            let frame = req.encode();
-            let id = net.try_transfer(hub_host, p.site.host, frame.len() as f64);
-            self.settle(net, vec![id]);
-            let delivered = matches!(
-                id.map(|i| net.transfer_status(i)),
-                Some(TransferStatus::Done(_))
-            );
-            if !delivered {
-                continue;
+            // Re-pump from a fresh request at the cursor; the failure
+            // that brought the stream here must not end the resume.
+            p.request.resume_from = p.cursor;
+            p.frames = None;
+            p.failed = false;
+            self.pump(
+                net,
+                hub_host,
+                &mut [(std::slice::from_mut(p), deadline)],
+                false,
+            )?;
+            if std::mem::take(&mut p.expired) {
+                return Ok(false);
             }
-            p.bytes += frame.len() as u64;
-            if !p.site.is_up() {
-                continue;
-            }
-            // The site re-runs the deterministic scan and ships only
-            // the batches past the cursor.
-            let frames = serve_request(&p.site.db.borrow(), &req, self.batch_rows)?;
-            let mut complete = true;
-            for f in frames {
-                if net.now() >= deadline {
-                    complete = false;
-                    break;
-                }
-                let id = net.try_transfer(p.site.host, hub_host, f.len() as f64);
-                self.settle(net, vec![id]);
-                let delivered = matches!(
-                    id.map(|t| net.transfer_status(t)),
-                    Some(TransferStatus::Done(_))
-                );
-                if !delivered {
-                    complete = false;
-                    break;
-                }
-                p.bytes += f.len() as u64;
-                self.accept_batch(p, &f)?;
-                if p.failed {
-                    // Sequence gap: keep retrying from the cursor.
-                    p.failed = false;
-                    complete = false;
-                    break;
-                }
-            }
-            if complete {
+            if !p.failed {
                 return Ok(true);
             }
         }
@@ -2510,6 +2169,46 @@ fn typed_columns(ft: &ForeignTable, columns: &[String]) -> Vec<(String, SqlType)
         .collect()
 }
 
+/// Externalise pushed conjuncts into the one parameterised,
+/// qualifier-free predicate a site scan runs (the site scan is
+/// single-table, so a hub-side alias would not resolve there), with its
+/// parameters.
+fn pushed_predicate(pushed: &[Expr], params: &[Value]) -> Result<(String, Vec<Value>), FedError> {
+    let mut req_params = Vec::new();
+    let mut rendered = Vec::with_capacity(pushed.len());
+    for c in pushed {
+        let e = externalize(&strip_qualifiers(c), params, &mut req_params)?;
+        rendered.push(easia_db::sql::expr_to_sql(&e));
+    }
+    Ok((rendered.join(" AND "), req_params))
+}
+
+/// A JOIN leg's `EXPLAIN` line as planned: the execution fills in a
+/// semi-join's key count (or its overflow fallback).
+fn leg_explain(leg: &JoinLeg) -> JoinExplain {
+    JoinExplain {
+        table: leg.table.clone(),
+        alias: leg.alias.clone(),
+        kind: match leg.kind {
+            None => "anchor",
+            Some(JoinKind::Inner) => "INNER",
+            Some(JoinKind::Left) => "LEFT",
+        }
+        .to_string(),
+        strategy: match &leg.strategy {
+            LegStrategy::Local => JoinStrategy::Local,
+            LegStrategy::Gather => JoinStrategy::Gather,
+            LegStrategy::SemiJoin { key_column, .. } => JoinStrategy::SemiJoin {
+                key_column: key_column.clone(),
+                keys: None,
+            },
+            LegStrategy::FullShip { reason } => JoinStrategy::FullShip {
+                reason: reason.clone(),
+            },
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2746,6 +2445,37 @@ mod tests {
     }
 
     #[test]
+    fn explain_honours_the_ship_everything_ablation() {
+        // EXPLAIN plans exactly as the executed query does: with
+        // pushdown off nothing is pushed and no partition is pruned.
+        let mut r = rig();
+        r.fed.analyze(&r.hub_db).unwrap();
+        r.fed.pushdown = false;
+        let sql = "SELECT K FROM SIM WHERE SITE = 'edin' AND N > 1";
+        let planned = r.fed.explain(&r.hub_db, sql, &[]).unwrap();
+        assert!(planned
+            .sites
+            .iter()
+            .all(|s| !s.pruned && s.pushed_conjuncts.is_empty()));
+        let ran = q(&mut r, sql, &[]).explain;
+        let plan_view = |e: &FedExplain| {
+            e.sites
+                .iter()
+                .map(|s| {
+                    (
+                        s.site.clone(),
+                        s.pruned,
+                        s.pushed_conjuncts.clone(),
+                        s.hub_conjuncts.clone(),
+                        s.order_limit_pushed,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(plan_view(&planned), plan_view(&ran));
+    }
+
+    #[test]
     fn datalink_columns_survive_federation() {
         let mut r = rig();
         r.fed
@@ -2856,6 +2586,38 @@ mod tests {
             .value("easia_med_scan_retries_total", &[("site", "cam")])
             .is_some_and(|v| v >= 1.0));
         assert!(obs.tracer.render().contains("easia.med.retry_wait"));
+    }
+
+    #[test]
+    fn a_resume_completes_on_its_first_successful_retry() {
+        // cam crashes while the scatter is on the wire and comes back
+        // at 120 s: one retry re-ships the request and every batch.
+        let mut r = rig();
+        r.fed.batch_rows = 2;
+        let cam_host = r.fed.site("cam").unwrap().host;
+        let mut faults = easia_net::FaultSchedule::new();
+        faults.host_crash(cam_host, 1.0e-4, 120.0);
+        r.net.set_fault_schedule(faults);
+        let obs = Obs::new();
+        let out = r
+            .fed
+            .query(
+                &mut r.net,
+                r.hub,
+                &r.hub_db,
+                Some(&obs),
+                "SELECT K FROM SIM",
+                &[],
+            )
+            .unwrap();
+        assert_eq!(out.rs.rows.len(), 12);
+        let cam = out.explain.sites.iter().find(|s| s.site == "cam").unwrap();
+        assert_eq!(cam.retries, 1, "the first resume delivers every batch");
+        assert_eq!(
+            obs.metrics
+                .value("easia_med_scan_retries_total", &[("site", "cam")]),
+            Some(1.0)
+        );
     }
 
     #[test]
@@ -3365,7 +3127,7 @@ mod tests {
                 key_filter: None,
                 partial_agg: None,
             },
-            frames: Vec::new().into_iter(),
+            frames: None,
             rows: Vec::new(),
             cursor: 0,
             last_write_counter: 0,
@@ -3397,6 +3159,71 @@ mod tests {
             p.bytes, expected,
             "wire bytes = all delivered traffic, not useful payload"
         );
+    }
+
+    #[test]
+    fn lockstep_books_a_delivered_frame_behind_a_failed_one() {
+        // One remote site, one wave holding a full frame (seq 0) and the
+        // short last frame (seq 1). Sharing the link, the short frame
+        // lands first; a link outage then stalls the full frame until
+        // it is cancelled. The short frame crossed the WAN, so its bytes
+        // count even though the sequence check discards its rows.
+        let mut net = SimNet::new();
+        let hub = net.add_host("hub", 4);
+        let cam = net.add_host("cam", 2);
+        // 1,000 B/s, no latency: instants follow from frame sizes.
+        let link = net.connect(hub, cam, LinkSpec::symmetric(8_000.0, 0.0));
+        let hub_db = site_db("soton", 0);
+        let mut fed = Federation {
+            batch_rows: 2,
+            lockstep: true,
+            retry: RetryPolicy {
+                stall_timeout_s: 1.0,
+                jitter_frac: 0.0,
+                ..RetryPolicy::default()
+            },
+            ..Federation::default()
+        };
+        fed.add_site("cam", cam, site_db("cam", 3));
+        fed.catalog
+            .import_foreign_table(
+                &hub_db,
+                "SIM",
+                Some("SITE"),
+                vec![crate::catalog::Partition::new(Some("cam"), &["cam"])],
+            )
+            .unwrap();
+        let sql = "SELECT K FROM SIM";
+        let Stmt::Select(sel) = parse(sql).unwrap() else {
+            unreachable!()
+        };
+        let (_, _, request) = fed.plan_single(&sel, &[]).unwrap();
+        let req = request.encode().len() as f64;
+        let frames = serve_request(&fed.site("cam").unwrap().db.borrow(), &request, 2).unwrap();
+        assert_eq!(frames.len(), 2);
+        let (full, short) = (frames[0].len() as f64, frames[1].len() as f64);
+        assert!(short < full);
+        let t_batches = req / 1_000.0;
+        let short_lands = t_batches + 2.0 * short / 1_000.0;
+        let full_lands = short_lands + (full - short) / 1_000.0;
+        let dark_from = (short_lands + full_lands) / 2.0;
+        let mut faults = easia_net::FaultSchedule::new();
+        faults.link_outage(link, dark_from, dark_from + 3.0);
+        net.set_fault_schedule(faults);
+        let mut r = Rig {
+            net,
+            hub,
+            hub_db,
+            fed,
+        };
+        let out = q(&mut r, sql, &[]);
+        assert_eq!(out.rs.rows.len(), 3);
+        let site = &out.explain.sites[0];
+        // Scatter + short frame, then the resume's request and both
+        // frames.
+        let want = 2.0 * req + full + 2.0 * short;
+        assert_eq!(site.bytes_wire, want as u64);
+        assert_eq!(site.retries, 1);
     }
 
     #[test]
